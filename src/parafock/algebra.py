@@ -3,90 +3,102 @@
 The four odd generators act on a Gelfand-Zetlin pattern by moving one of
 m12, m22 up or down by one while m11 follows the mode index; every matrix
 element is a square root of an integer times one of two structure
-coefficients.  All entry formulas self-regulate at the pattern boundaries:
-whenever a move would leave the betweenness region the accompanying
-coefficient vanishes identically, so the builders never store zeros.
+coefficients.  Each generator is built in one vectorized pass over the
+basis arrays: a move whose target pattern is absent from the lookup table
+is skipped, so the builders never store zeros.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .fockspace import FockBasis, FockVector, GZPattern, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
 _BRACKET_KINDS = ("commutator", "anticommutator")
 
 
-def structure_f(m12: int, m22: int, p: float) -> tuple[float, float]:
-    """Structure coefficients (f1, f2) at pattern row (m12, m22).
+def structure_f(m12, m22, p: float):
+    """Structure coefficients (f1, f2) at pattern row (m12, m22); scalars or arrays.
 
     f1 carries the sign (-1)**m22; both are real for p > 1.  The parity
     indicators switch the p dependence on and off between adjacent rows.
     """
-    if m12 < m22 or m22 < 0:
+    m12 = np.asarray(m12)
+    m22 = np.asarray(m22)
+    if np.any(m12 < m22) or np.any(m22 < 0):
         raise ValueError(f"need m12 >= m22 >= 0, got ({m12}, {m22})")
     if not p > 1:
         raise ValueError(f"need p > 1, got {p}")
-    sign = -1.0 if m22 % 2 else 1.0
-    f1 = sign * math.sqrt(
-        (m12 + 2 + even_ind(m12) * (p - 2)) / (m12 - m22 + 1 + odd_ind(m12 - m22))
-    )
-    f2 = math.sqrt(
-        (m22 + 1 + even_ind(m22) * (p - 2)) / (m12 - m22 + 1 - odd_ind(m12 - m22))
-    )
+    sign = np.where(m22 % 2, -1.0, 1.0)
+    f1 = sign * np.sqrt((m12 + 2 + even_ind(m12) * (p - 2)) / (m12 - m22 + 1 + odd_ind(m12 - m22)))
+    f2 = np.sqrt((m22 + 1 + even_ind(m22) * (p - 2)) / (m12 - m22 + 1 - odd_ind(m12 - m22)))
     return f1, f2
 
 
-class SparseOperator:
-    """Column-indexed sparse matrix on a FockBasis-sized space.
+def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum ``values`` into ``n`` bins; each bin adds its terms in array order."""
+    if np.iscomplexobj(values):
+        out = np.empty(n, dtype=np.complex128)
+        out.real = np.bincount(index, values.real, n)
+        out.imag = np.bincount(index, values.imag, n)
+        return out
+    return np.bincount(index, values, n)
 
-    ``boundary_rows`` records the source indices whose raising image crossed
-    the cutoff shell and was clipped; columns listed there are inexact and
-    every verification routine restricts itself to interior columns instead.
+
+class SparseOperator:
+    """Sparse matrix on a FockBasis-sized space, stored as (row, col, value) arrays.
+
+    The constructor takes entries sorted by (col, row) without repeats;
+    ``from_entries`` takes any triplets.  Sums and products add the terms
+    of each entry in a fixed order (column, right factor entry, left factor
+    entry) and drop exact zeros.  ``boundary_rows`` records the source
+    indices whose raising image crossed the cutoff shell and was clipped;
+    columns listed there are inexact and every verification routine
+    restricts itself to interior columns instead.
     """
 
-    __slots__ = ("dim", "_cols", "boundary_rows")
+    __slots__ = ("dim", "rows", "cols", "vals", "boundary_rows")
 
-    def __init__(self, dim: int, cols: list[dict[int, complex]], boundary_rows=frozenset()):
-        if len(cols) != dim:
-            raise ValueError(f"expected {dim} columns, got {len(cols)}")
-        self.dim = dim
-        self._cols = cols
+    def __init__(self, dim: int, rows, cols, vals, boundary_rows=frozenset()):
+        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
         self.boundary_rows = frozenset(boundary_rows)
 
     @classmethod
+    def _accumulate(cls, dim: int, rows, cols, vals, boundary_rows=frozenset()) -> "SparseOperator":
+        """Sum the entries that share a position, in the given order; drop exact zeros."""
+        keys = np.asarray(cols, dtype=np.intp) * dim + np.asarray(rows, dtype=np.intp)
+        keys, where = np.unique(keys, return_inverse=True)
+        sums = _sum_by(where, np.asarray(vals), len(keys))
+        keep = sums != 0
+        return cls(dim, keys[keep] % dim, keys[keep] // dim, sums[keep], boundary_rows)
+
+    @classmethod
     def zero(cls, dim: int) -> "SparseOperator":
-        return cls(dim, [dict() for _ in range(dim)])
+        return cls._accumulate(dim, (), (), ())
 
     @classmethod
     def from_entries(cls, dim: int, entries, boundary_rows=frozenset()) -> "SparseOperator":
-        cols: list[dict[int, complex]] = [dict() for _ in range(dim)]
-        for row, col, value in entries:
-            if value != 0:
-                cols[col][row] = cols[col].get(row, 0.0) + value
-        return cls(dim, cols, boundary_rows)
+        triplets = list(entries)
+        rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+        return cls._accumulate(dim, rows, cols, vals, boundary_rows)
 
     @property
     def entries(self) -> list[tuple[int, int, complex]]:
         """All stored entries as (row, col, value), sorted by (col, row)."""
-        out = []
-        for col, column in enumerate(self._cols):
-            for row in sorted(column):
-                out.append((row, col, column[row]))
-        return out
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
 
     @property
     def nnz(self) -> int:
-        return sum(len(c) for c in self._cols)
+        return len(self.vals)
 
     def column(self, col: int) -> dict[int, complex]:
-        return dict(self._cols[col])
+        lo, hi = np.searchsorted(self.cols, (col, col + 1))
+        return dict(zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()))
 
     def apply(self, vec):
         """Matrix-vector product; accepts and returns FockVector or ndarray."""
@@ -95,88 +107,92 @@ class SparseOperator:
         x = np.asarray(vec)
         if x.shape != (self.dim,):
             raise ValueError(f"vector shape {x.shape} does not match dim {self.dim}")
-        y = np.zeros(self.dim, dtype=np.complex128)
-        for col, column in enumerate(self._cols):
-            xc = x[col]
-            if xc == 0 or not column:
-                continue
-            for row, value in column.items():
-                y[row] += value * xc
-        return y
+        y = _sum_by(self.rows, self.vals * x[self.cols], self.dim)
+        return y.astype(np.complex128, copy=False)
 
     def adjoint(self) -> "SparseOperator":
-        cols: list[dict[int, complex]] = [dict() for _ in range(self.dim)]
-        for col, column in enumerate(self._cols):
-            for row, value in column.items():
-                cols[row][col] = np.conjugate(value) if isinstance(value, complex) else value
-        return SparseOperator(self.dim, cols, self.boundary_rows)
+        return SparseOperator._accumulate(
+            self.dim, self.cols, self.rows, np.conj(self.vals), self.boundary_rows
+        )
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        cols: list[dict[int, complex]] = [dict() for _ in range(self.dim)]
-        for col, bcol in enumerate(other._cols):
-            if not bcol:
-                continue
-            out = cols[col]
-            for k, bv in bcol.items():
-                for row, av in self._cols[k].items():
-                    s = out.get(row, 0.0) + av * bv
-                    if s == 0:
-                        out.pop(row, None)
-                    else:
-                        out[row] = s
-        return SparseOperator(self.dim, cols, self.boundary_rows | other.boundary_rows)
-
-    def _combine(self, other: "SparseOperator", sign: float) -> "SparseOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        cols = [dict(c) for c in self._cols]
-        for col, column in enumerate(other._cols):
-            out = cols[col]
-            for row, value in column.items():
-                s = out.get(row, 0.0) + sign * value
-                if s == 0:
-                    out.pop(row, None)
-                else:
-                    out[row] = s
-        return SparseOperator(self.dim, cols, self.boundary_rows | other.boundary_rows)
+        starts = np.searchsorted(self.cols, np.arange(self.dim + 1))
+        first = starts[other.rows]
+        count = starts[other.rows + 1] - first
+        # pair every right entry (k, col) with each left entry of column k
+        right = np.repeat(np.arange(other.nnz), count)
+        left = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return SparseOperator._accumulate(
+            self.dim,
+            self.rows[left],
+            other.cols[right],
+            self.vals[left] * other.vals[right],
+            self.boundary_rows | other.boundary_rows,
+        )
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return self._combine(other, 1.0)
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return SparseOperator._accumulate(
+            self.dim,
+            np.concatenate((self.rows, other.rows)),
+            np.concatenate((self.cols, other.cols)),
+            np.concatenate((self.vals, other.vals)),
+            self.boundary_rows | other.boundary_rows,
+        )
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self._combine(other, -1.0)
+        return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "SparseOperator":
-        cols = [
-            {row: scalar * value for row, value in column.items()}
-            for column in self._cols
-        ]
-        return SparseOperator(self.dim, cols, self.boundary_rows)
+        vals = scalar * self.vals
+        return SparseOperator(self.dim, self.rows, self.cols, vals, self.boundary_rows)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SparseOperator":
-        return self * (-1.0)
+    def block(self, rows, cols) -> np.ndarray:
+        """Dense submatrix on the given row and column indices, in their order."""
+        row_pos = np.full(self.dim, -1)
+        row_pos[rows] = np.arange(len(rows))
+        col_pos = np.full(self.dim, -1)
+        col_pos[cols] = np.arange(len(cols))
+        r, c = row_pos[self.rows], col_pos[self.cols]
+        inside = (r >= 0) & (c >= 0)
+        out = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+        out[r[inside], c[inside]] = self.vals[inside]
+        return out
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for col, column in enumerate(self._cols):
-            for row, value in column.items():
-                dense[row, col] = value
-        return dense
+        everything = np.arange(self.dim)
+        return self.block(everything, everything)
 
     def max_abs(self, columns=None) -> float:
         """Largest entry magnitude, optionally over a subset of columns."""
-        cols = range(self.dim) if columns is None else columns
-        best = 0.0
-        for col in cols:
-            for value in self._cols[col].values():
-                mag = abs(value)
-                if mag > best:
-                    best = mag
-        return best
+        vals = self.vals
+        if columns is not None:
+            chosen = np.zeros(self.dim, dtype=bool)
+            chosen[np.asarray(columns, dtype=np.intp)] = True
+            vals = vals[chosen[self.cols]]
+        return float(np.abs(vals).max()) if vals.size else 0.0
+
+
+# The two moves of each odd generator: the label shift (d12, d22, d11), the
+# structure coefficient it carries (0 for f1, 1 for f2) evaluated at the row
+# of the lower of the two patterns, its sign, and the integer under its
+# square root as a function of the source labels.  A move whose target lies
+# outside the basis stores nothing.
+_MOVES = (
+    ("b1+", (1, 0, 1), 0, 1.0, lambda m12, m22, m11: m11 - m22 + 1),
+    ("b1+", (0, 1, 1), 1, -1.0, lambda m12, m22, m11: m12 - m11),
+    ("b2+", (1, 0, 0), 0, 1.0, lambda m12, m22, m11: m12 - m11 + 1),
+    ("b2+", (0, 1, 0), 1, 1.0, lambda m12, m22, m11: m11 - m22),
+    ("b1-", (-1, 0, -1), 0, 1.0, lambda m12, m22, m11: m11 - m22),
+    ("b1-", (0, -1, -1), 1, -1.0, lambda m12, m22, m11: m12 - m11 + 1),
+    ("b2-", (-1, 0, 0), 0, 1.0, lambda m12, m22, m11: m12 - m11),
+    ("b2-", (0, -1, 0), 1, 1.0, lambda m12, m22, m11: m11 - m22 + 1),
+)
 
 
 def build_generator(basis: FockBasis, name: str) -> SparseOperator:
@@ -188,61 +204,23 @@ def build_generator(basis: FockBasis, name: str) -> SparseOperator:
     """
     if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
-    p = basis.p
-    cols: list[dict[int, complex]] = [dict() for _ in range(basis.size)]
-    boundary: set[int] = set()
-
-    for c, m in enumerate(basis.patterns):
-        col = cols[c]
-        if name == "h1":
-            col[c] = p / 2.0 + m.m11
+    if name in ("h1", "h2"):
+        w1, w2 = basis.weights()
+        diagonal = np.arange(basis.size)
+        return SparseOperator(basis.size, diagonal, diagonal, w1 if name == "h1" else w2)
+    rows, cols, vals = [], [], []
+    for gen, (d12, d22, d11), which, sign, root in _MOVES:
+        if gen != name:
             continue
-        if name == "h2":
-            col[c] = p / 2.0 + m.m12 + m.m22 - m.m11
-            continue
-
-        if name == "b1+":
-            if m.m12 + 1 <= basis.cutoff:
-                f1, _ = structure_f(m.m12, m.m22, p)
-                target = GZPattern(m.m12 + 1, m.m22, m.m11 + 1)
-                col[basis.index[target]] = math.sqrt(m.m11 - m.m22 + 1) * f1
-            else:
-                boundary.add(c)
-            if m.m12 > m.m11:
-                _, f2 = structure_f(m.m12, m.m22, p)
-                target = GZPattern(m.m12, m.m22 + 1, m.m11 + 1)
-                col[basis.index[target]] = -math.sqrt(m.m12 - m.m11) * f2
-        elif name == "b2+":
-            if m.m12 + 1 <= basis.cutoff:
-                f1, _ = structure_f(m.m12, m.m22, p)
-                target = GZPattern(m.m12 + 1, m.m22, m.m11)
-                col[basis.index[target]] = math.sqrt(m.m12 - m.m11 + 1) * f1
-            else:
-                boundary.add(c)
-            if m.m11 > m.m22:
-                _, f2 = structure_f(m.m12, m.m22, p)
-                target = GZPattern(m.m12, m.m22 + 1, m.m11)
-                col[basis.index[target]] = math.sqrt(m.m11 - m.m22) * f2
-        elif name == "b1-":
-            if m.m11 > m.m22:
-                f1, _ = structure_f(m.m12 - 1, m.m22, p)
-                target = GZPattern(m.m12 - 1, m.m22, m.m11 - 1)
-                col[basis.index[target]] = math.sqrt(m.m11 - m.m22) * f1
-            if m.m22 >= 1:
-                _, f2 = structure_f(m.m12, m.m22 - 1, p)
-                target = GZPattern(m.m12, m.m22 - 1, m.m11 - 1)
-                col[basis.index[target]] = -math.sqrt(m.m12 - m.m11 + 1) * f2
-        elif name == "b2-":
-            if m.m12 > m.m11:
-                f1, _ = structure_f(m.m12 - 1, m.m22, p)
-                target = GZPattern(m.m12 - 1, m.m22, m.m11)
-                col[basis.index[target]] = math.sqrt(m.m12 - m.m11) * f1
-            if m.m22 >= 1:
-                _, f2 = structure_f(m.m12, m.m22 - 1, p)
-                target = GZPattern(m.m12, m.m22 - 1, m.m11)
-                col[basis.index[target]] = math.sqrt(m.m11 - m.m22 + 1) * f2
-
-    return SparseOperator(basis.size, cols, frozenset(boundary))
+        target = basis.lookup[basis.m12 + d12, basis.m22 + d22, basis.m11 + d11]
+        source = np.flatnonzero(target >= 0)
+        m12, m22, m11 = basis.m12[source], basis.m22[source], basis.m11[source]
+        f = structure_f(m12 + min(d12, 0), m22 + min(d22, 0), basis.p)[which]
+        rows.append(target[source])
+        cols.append(source)
+        vals.append(sign * np.sqrt(root(m12, m22, m11)) * f)
+    clipped = np.flatnonzero(basis.m12 == basis.cutoff).tolist() if name.endswith("+") else ()
+    return SparseOperator._accumulate(basis.size, *map(np.concatenate, (rows, cols, vals)), clipped)
 
 
 def bracket(a: SparseOperator, b: SparseOperator, kind: str) -> SparseOperator:
@@ -356,14 +334,13 @@ def t1_inverse_apply(vec: FockVector, zeta1: float) -> FockVector:
         )
     twoz = 2.0 * zeta1 - 1.0
     out = vec.coefficients.copy()
-    for i, m in enumerate(basis.patterns):
-        if out[i] == 0:
-            continue
-        n = m.m11 - j
-        if n < 0:
-            raise ValueError(
-                f"populated component at pattern {m} lies below the ladder floor m11 = {j}"
-            )
-        eigenvalue = (n + 1.0 + twoz) if n % 2 == 0 else (n + 1.0)
-        out[i] /= eigenvalue
+    populated = np.flatnonzero(out)
+    n = basis.m11[populated] - j
+    if np.any(n < 0):
+        i = populated[np.argmax(n < 0)]
+        raise ValueError(
+            f"populated component at pattern ({basis.m12[i]}, {basis.m22[i]}; {basis.m11[i]}) "
+            f"lies below the ladder floor m11 = {j}"
+        )
+    out[populated] /= np.where(n % 2 == 0, n + 1.0 + twoz, n + 1.0)
     return FockVector(basis, out)

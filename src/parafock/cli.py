@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .coherent import (
     coherent_norm,
     eigen_residual,
 )
-from .fockspace import enumerate_basis, weight_of
+from .fockspace import enumerate_basis
 from .resolution import (
     radial_grid,
     resolution_identity_check,
@@ -62,12 +61,11 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Every flag of one invocation, echoed into the JSON meta block."""
+    """Every flag of one invocation; those after ``output`` are echoed into the JSON meta block."""
 
     subcommand: str
     format: str = "csv"
     output: str | None = None
-    threads: int | None = None
     p: float | None = None
     cutoff: int | None = None
     tol: float | None = None
@@ -90,12 +88,8 @@ class RunConfig:
 
     def meta(self) -> dict:
         out: dict = {"subcommand": self.subcommand, "version": __version__}
-        for name in (
-            "p", "cutoff", "tol", "gen", "j", "k", "l", "nmax", "kmax",
-            "ncheck", "mode", "kind", "nu", "x", "alpha", "alpha_prime",
-            "beta", "normalized", "cat", "threads",
-        ):
-            value = getattr(self, name)
+        for flag in fields(self)[3:]:
+            name, value = flag.name, getattr(self, flag.name)
             if value is None or (name == "normalized" and not value):
                 continue
             if isinstance(value, complex):
@@ -192,28 +186,14 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _read_threads() -> int | None:
-    raw = os.environ.get("PARAFOCK_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"PARAFOCK_THREADS must be a positive integer, got {raw!r}") from None
-    _require(value > 0, f"PARAFOCK_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_basis(cfg: RunConfig) -> tuple[Table, int]:
     basis = enumerate_basis(cfg.p, cfg.cutoff)
-    rows = []
-    for index, pattern in enumerate(basis.patterns):
-        w = weight_of(pattern, cfg.p)
-        rows.append([pattern.m12, pattern.m22, pattern.m11, w.w1, w.w2, index])
+    labels = (basis.m12, basis.m22, basis.m11, *basis.weights(), np.arange(basis.size))
+    rows = [list(row) for row in zip(*(column.tolist() for column in labels))]
     table = Table(
         columns=["m12", "m22", "m11", "w1", "w2", "index"],
         rows=rows,
@@ -457,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="parafock",
         description="Paraboson Fock representation engine: basis tables, generator "
         "matrices, eigenstate families, and verification suites.",
-        epilog="PARAFOCK_THREADS caps internal parallelism when set (the engine "
-        "is single-threaded, so any positive value is accepted).",
     )
     parser.add_argument("--version", action="version", version=f"parafock {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
@@ -565,10 +543,8 @@ def _validate(cfg: RunConfig) -> None:
         _require(cfg.p > 1.0, f"need p > 1, got p = {cfg.p}")
     if cfg.cutoff is not None:
         _require(cfg.cutoff >= 0, f"need cutoff >= 0, got {cfg.cutoff}")
-        if cfg.subcommand == "verify-triple":
-            _require(cfg.cutoff >= 3, "verify-triple needs cutoff >= 3 for a nonempty interior")
-        if cfg.subcommand == "verify-all":
-            _require(cfg.cutoff >= 3, "verify-all needs cutoff >= 3 for a nonempty interior")
+        if cfg.subcommand in ("verify-triple", "verify-all"):
+            _require(cfg.cutoff >= 3, f"{cfg.subcommand} needs cutoff >= 3 for a nonempty interior")
     for name in ("j", "k", "l", "ncheck"):
         value = getattr(cfg, name)
         if value is not None:
@@ -590,13 +566,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     values = vars(args)
     cfg = RunConfig(**{k.replace("-", "_"): v for k, v in values.items()})
     try:
-        cfg.threads = _read_threads()
         _validate(cfg)
         table, code = _HANDLERS[cfg.subcommand](cfg)
-    except UsageError as exc:
-        print(f"parafock: error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ValueError, TypeError, TruncationError) as exc:
+    except (UsageError, ValueError, TypeError, TruncationError) as exc:
         print(f"parafock: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     _emit(table, cfg)

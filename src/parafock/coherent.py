@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import SparseOperator, build_generator
 from .fockspace import FockBasis, FockVector, even_ind, odd_ind
-from .specfun import bessel_i, hyp0f1, hyp0f1_complex, log_gamma
-from .zeromodes import b2sq_shift, ladder_family, ladder_step
+from .specfun import bessel_i, hyp0f1, hyp0f1_complex
+from .zeromodes import _validate_family, ladder_family, ladder_step
 
 _ALPHA_MAX = 5.0
 _NMAX_CAP = 200
@@ -29,13 +29,11 @@ class TruncationError(RuntimeError):
     """The requested rung count cannot hold the state to the target decay."""
 
 
-def _validate_family(j: int, k: int, p: float) -> None:
-    if not isinstance(j, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise TypeError(f"j and k must be integers, got {j!r}, {k!r}")
-    if not (0 <= j <= k):
-        raise ValueError(f"need 0 <= j <= k, got j = {j}, k = {k}")
+def _validate_ladder(p: float, j: int) -> None:
     if not p > 1:
         raise ValueError(f"need p > 1, got {p}")
+    if j < 0:
+        raise ValueError(f"need j >= 0, got {j}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,24 +127,18 @@ def coherent_norm(p: float, j: int, alpha: complex) -> float:
     Equals (x/2)^(1-nu) Gamma(nu) (I_(nu-1)(x) + I_nu(x)) at x = |alpha|^2,
     nu = p/2 + j; the x -> 0 limit is 1.
     """
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
+    _validate_ladder(p, j)
     x = abs(complex(alpha)) ** 2
     if x == 0.0:
         return 1.0
     nu = p / 2.0 + j
     isum = bessel_i(nu - 1.0, x).value + bessel_i(nu, x).value
-    return math.exp((1.0 - nu) * math.log(x / 2.0) + log_gamma(nu)) * isum
+    return math.exp((1.0 - nu) * math.log(x / 2.0) + math.lgamma(nu)) * isum
 
 
 def coherent_norm_series(p: float, j: int, alpha: complex) -> float:
     """Squared norm of the unnormalized eigenstate, hypergeometric route."""
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
+    _validate_ladder(p, j)
     x = abs(complex(alpha)) ** 2
     nu = p / 2.0 + j
     arg = (x / 2.0) ** 2
@@ -161,10 +153,7 @@ def coherent_overlap(p: float, j: int, alpha_prime: complex, alpha: complex) -> 
     is involved.  At alpha' = -alpha this reduces to the real ratio
     (I_(nu-1) - I_nu) / (I_(nu-1) + I_nu) at x = |alpha|^2.
     """
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
+    _validate_ladder(p, j)
     z = np.conjugate(complex(alpha_prime)) * complex(alpha)
     nu = p / 2.0 + j
     arg = (z / 2.0) ** 2
@@ -209,13 +198,17 @@ def eigen_residual(s: CoherentState) -> tuple[float, float]:
     return math.sqrt(resid_sq), abs(alpha) * abs(a[-1])
 
 
+def _ladder_sum(coeffs: np.ndarray, family: list[FockVector]) -> np.ndarray:
+    """Sum of coeffs[n] times rung n, added rung by rung."""
+    acc = np.zeros(family[0].basis.size, dtype=np.complex128)
+    for c, rung in zip(coeffs, family):
+        acc += c * rung.coefficients
+    return acc
+
+
 def to_fock_vector(basis: FockBasis, s: CoherentState) -> FockVector:
     """Assemble the state on a pattern basis; needs cutoff >= k + j + nmax."""
-    family = ladder_family(basis, s.j, s.k, s.nmax)
-    acc = np.zeros(basis.size, dtype=np.complex128)
-    for n, rung in enumerate(family):
-        acc += s.coeffs[n] * rung.coefficients
-    return FockVector(basis, acc)
+    return FockVector(basis, _ladder_sum(s.coeffs, ladder_family(basis, s.j, s.k, s.nmax)))
 
 
 def b2_element(
@@ -297,22 +290,9 @@ def b2_element_oracle(
         bra_family = ladder_family(basis, jp, k - 1, nmax)
     if ket_family is None:
         ket_family = ladder_family(basis, j, k, nmax)
-    vb = np.zeros(basis.size, dtype=np.complex128)
-    for n in range(nmax + 1):
-        vb += bra.coeffs[n] * bra_family[n].coefficients
-    vk = np.zeros(basis.size, dtype=np.complex128)
-    for n in range(nmax + 1):
-        vk += ket.coeffs[n] * ket_family[n].coefficients
+    vb = _ladder_sum(bra.coeffs, bra_family)
+    vk = _ladder_sum(ket.coeffs, ket_family)
     return complex(np.vdot(vb, b2_op.apply(vk)))
-
-
-def b2sq_on_coherent(p: float, j: int, k: int, direction: str) -> float:
-    """Scalar by which (b2+-)^2 maps the (j, k) eigenstate family to k +- 2.
-
-    The squared shift acts rung by rung with the same coefficient as on the
-    zero mode itself, since it commutes with the b1+ ladder construction.
-    """
-    return b2sq_shift(j, k, p, direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,12 +335,9 @@ def bicoherent(
     components, so applying it telescopes onto beta times the state with
     only the k = kmax top dropped.
     """
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
+    _validate_ladder(p, j)
     if l not in (j, j + 1):
         raise ValueError(f"need l in {{j, j + 1}} = {{{j}, {j + 1}}}, got l = {l}")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
     if kmax < 2:
         raise ValueError(f"need kmax >= 2, got {kmax}")
     beta = complex(beta)

@@ -6,23 +6,27 @@ with m12 <= cutoff, which leaves the retained set closed under the lowering
 generators; raising generators can leave the set only through the m12 = cutoff
 shell, and the operator builders in :mod:`parafock.algebra` track exactly
 which source states are clipped that way.
+
+The basis is stored as three integer label arrays plus a dense lookup table
+from labels to indices; ``GZPattern`` objects exist only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 
-def even_ind(n: int) -> int:
-    """Indicator of n being even, extended to negative integers mod 2."""
+def even_ind(n):
+    """Indicator of n being even, extended to negative integers mod 2; accepts arrays."""
     return 1 - (n % 2)
 
 
-def odd_ind(n: int) -> int:
-    """Indicator of n being odd, extended to negative integers mod 2."""
+def odd_ind(n):
+    """Indicator of n being odd, extended to negative integers mod 2; accepts arrays."""
     return n % 2
 
 
@@ -57,47 +61,69 @@ class GZPattern:
         """Total excitation m12 + m22; each raising step increases it by 1."""
         return self.m12 + self.m22
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.degree, self.m12, self.m11)
+
+def cartan_weights(p: float, m12, m22, m11):
+    """Cartan weights (w1, w2) of scalar or array labels, each summed left to right."""
+    return p / 2.0 + m11, p / 2.0 + m12 + m22 - m11
 
 
 def weight_of(m: GZPattern, p: float) -> Weight:
     """Cartan weight of the basis state labelled by ``m`` at parameter ``p``."""
-    return Weight(p / 2.0 + m.m11, p / 2.0 + m.m12 + m.m22 - m.m11)
+    return Weight(*cartan_weights(p, m.m12, m.m22, m.m11))
 
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Ordered pattern set with p, the cutoff, and the index lookup table.
+    """Label arrays m12, m22, m11 with p, the cutoff, and the index lookup table.
 
     Ordering is ascending in (degree, m12, m11), so index 0 is the vacuum
     pattern (0, 0; 0) and all states of equal degree are contiguous.
+    ``lookup[m12, m22, m11]`` is the index of a pattern, or -1 outside the
+    basis.  Each axis has one slot past the cutoff, which also holds -1, and
+    negative indexing sends label -1 to that same slot, so labels shifted by
+    one in either direction need no range check.
     """
 
     p: float
     cutoff: int
-    patterns: tuple[GZPattern, ...]
-    index: dict[GZPattern, int] = field(repr=False)
+    m12: np.ndarray
+    m22: np.ndarray
+    m11: np.ndarray
+    lookup: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.patterns)
+        return len(self.m12)
 
-    def interior_indices(self, margin: int) -> list[int]:
+    @property
+    def degree(self) -> np.ndarray:
+        return self.m12 + self.m22
+
+    @cached_property
+    def patterns(self) -> tuple[GZPattern, ...]:
+        """The patterns in basis order, built on first use."""
+        return tuple(
+            GZPattern(*labels)
+            for labels in zip(self.m12.tolist(), self.m22.tolist(), self.m11.tolist())
+        )
+
+    @cached_property
+    def index(self) -> dict[GZPattern, int]:
+        """Pattern to index map, built on first use."""
+        return {m: i for i, m in enumerate(self.patterns)}
+
+    def interior_indices(self, margin: int) -> np.ndarray:
         """Indices of patterns whose degree is at most cutoff - margin.
 
         Applying ``margin`` raising generators to such a state cannot reach
         the truncation shell, so operator identities built from at most
         ``margin`` generator factors hold exactly on these columns.
         """
-        dmax = self.cutoff - margin
-        return [i for i, m in enumerate(self.patterns) if m.degree <= dmax]
+        return np.flatnonzero(self.degree <= self.cutoff - margin)
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (w1, w2) of the Cartan weights in basis order."""
-        w1 = np.array([self.p / 2.0 + m.m11 for m in self.patterns])
-        w2 = np.array([self.p / 2.0 + m.m12 + m.m22 - m.m11 for m in self.patterns])
-        return w1, w2
+        return cartan_weights(self.p, self.m12, self.m22, self.m11)
 
 
 def enumerate_basis(p: float, cutoff: int) -> FockBasis:
@@ -111,17 +137,15 @@ def enumerate_basis(p: float, cutoff: int) -> FockBasis:
         raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    patterns = sorted(
-        (
-            GZPattern(m12, m22, m11)
-            for m12 in range(cutoff + 1)
-            for m22 in range(m12 + 1)
-            for m11 in range(m22, m12 + 1)
-        ),
-        key=GZPattern.sort_key,
-    )
-    index = {m: i for i, m in enumerate(patterns)}
-    return FockBasis(p=float(p), cutoff=int(cutoff), patterns=tuple(patterns), index=index)
+    cutoff = int(cutoff)
+    m12, m22, m11 = np.indices((cutoff + 1,) * 3).reshape(3, -1)
+    keep = (m12 >= m11) & (m11 >= m22)
+    m12, m22, m11 = m12[keep], m22[keep], m11[keep]
+    order = np.lexsort((m11, m12, m12 + m22))
+    m12, m22, m11 = m12[order], m22[order], m11[order]
+    lookup = np.full((cutoff + 2,) * 3, -1, dtype=np.intp)
+    lookup[m12, m22, m11] = np.arange(len(m12))
+    return FockBasis(p=float(p), cutoff=cutoff, m12=m12, m22=m22, m11=m11, lookup=lookup)
 
 
 @dataclass(eq=False)
@@ -140,31 +164,35 @@ class FockVector:
         self.coefficients = arr
 
     @classmethod
-    def zero(cls, basis: FockBasis) -> "FockVector":
-        return cls(basis, np.zeros(basis.size, dtype=np.complex128))
-
-    @classmethod
     def unit(cls, basis: FockBasis, pattern: GZPattern) -> "FockVector":
+        if pattern.m12 > basis.cutoff:
+            raise KeyError(pattern)
         v = np.zeros(basis.size, dtype=np.complex128)
-        v[basis.index[pattern]] = 1.0
+        v[basis.lookup[pattern.m12, pattern.m22, pattern.m11]] = 1.0
         return cls(basis, v)
+
+    def _check_basis(self, other: "FockVector") -> None:
+        a, b = self.basis, other.basis
+        if a is not b and (a.p, a.cutoff) != (b.p, b.cutoff):
+            raise ValueError(f"vectors are on different bases {(a.p, a.cutoff)}, {(b.p, b.cutoff)}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
 
     def inner(self, other: "FockVector") -> complex:
         """Inner product, conjugate-linear in ``self``."""
-        if other.basis is not self.basis and other.basis.size != self.basis.size:
-            raise ValueError("vectors live on different bases")
+        self._check_basis(other)
         return complex(np.vdot(self.coefficients, other.coefficients))
 
     def copy(self) -> "FockVector":
         return FockVector(self.basis, self.coefficients.copy())
 
     def __add__(self, other: "FockVector") -> "FockVector":
+        self._check_basis(other)
         return FockVector(self.basis, self.coefficients + other.coefficients)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
+        self._check_basis(other)
         return FockVector(self.basis, self.coefficients - other.coefficients)
 
     def __mul__(self, scalar: complex) -> "FockVector":

@@ -46,20 +46,6 @@ class SeriesResult:
     tail_bound: float
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0; relative error below 1e-13 on (0, 50)."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
-    return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """Logarithm of the Gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """Digamma function for x > 0 via upward recurrence and the large-x expansion."""
     if not x > 0:
@@ -75,18 +61,6 @@ def digamma(x: float) -> float:
         - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
     )
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial a (a+1) ... (a+n-1) for a > 0."""
-    if not a > 0:
-        raise ValueError(f"need a > 0, got {a}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    out = 1.0
-    for i in range(n):
-        out *= a + i
-    return out
 
 
 def hyp0f1(a: float, x: float, min_terms: int = 0) -> SeriesResult:
@@ -256,6 +230,8 @@ def bessel_k(nu: float, x: float) -> SeriesResult:
         value, terms = _bessel_k_integer(round(anu), x, digits)
     else:
         value, terms = _bessel_k_reflection(anu, x, digits)
+    if not math.isfinite(value):
+        raise ValueError(f"K_{nu}({x}) = {value} is outside the double range")
     if not value > 0:
         raise ArithmeticError(f"K_{nu}({x}) evaluated non-positive: {value}")
     return SeriesResult(value, terms, abs(value) * 1e-15)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .algebra import SparseOperator, build_generator
-from .fockspace import FockBasis, FockVector, GZPattern, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 
 
 def _validate_family(j: int, k: int, p: float) -> None:
@@ -65,10 +65,9 @@ def zero_mode_vector(basis: FockBasis, j: int, k: int) -> FockVector:
     _validate_family(j, k, basis.p)
     if k + j > basis.cutoff:
         raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
-    coeffs = zero_mode_coeffs(j, k, basis.p)
+    i = np.arange(j + 1)
     vec = np.zeros(basis.size, dtype=np.complex128)
-    for i, c in enumerate(coeffs):
-        vec[basis.index[GZPattern(k + i, j - i, j)]] = c
+    vec[basis.lookup[k + i, j - i, j]] = zero_mode_coeffs(j, k, basis.p)
     return FockVector(basis, vec)
 
 
@@ -89,41 +88,20 @@ def kernel_oracle(
         raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
     if op is None:
         op = build_generator(basis, "b1-")
-    source = [
-        i
-        for i, m in enumerate(basis.patterns)
-        if m.m11 == j and m.degree == k + j
-    ]
-    target = [
-        i
-        for i, m in enumerate(basis.patterns)
-        if m.m11 == j - 1 and m.degree == k + j - 1
-    ]
-    if not source:
+    source = np.flatnonzero((basis.m11 == j) & (basis.degree == k + j))
+    if not source.size:
         return 0, []
-    target_pos = {idx: r for r, idx in enumerate(target)}
-    block = np.zeros((len(target), len(source)))
-    for c, col_idx in enumerate(source):
-        for row_idx, value in op.column(col_idx).items():
-            if row_idx in target_pos:
-                block[target_pos[row_idx], c] = value.real if isinstance(value, complex) else value
-    n = len(source)
-    if len(target) == 0:
-        null_dim = n
-        null_vectors = np.eye(n)
-    else:
-        _, s, vh = np.linalg.svd(block)
-        threshold = tol * max(1.0, float(s[0]) if s.size else 1.0)
-        rank = int(np.sum(s > threshold))
-        null_dim = n - rank
-        null_vectors = vh[rank:].conj().T
-    vectors = []
-    for c in range(null_dim):
-        full = np.zeros(basis.size, dtype=np.complex128)
-        for r, idx in enumerate(source):
-            full[idx] = null_vectors[r, c]
-        vectors.append(FockVector(basis, full))
-    return null_dim, vectors
+    target = np.flatnonzero((basis.m11 == j - 1) & (basis.degree == k + j - 1))
+    block = op.block(target, source).real
+    # with no target rows the SVD returns no singular values and vh = identity
+    _, s, vh = np.linalg.svd(block)
+    threshold = tol * max(1.0, float(s[0]) if s.size else 1.0)
+    rank = int(np.sum(s > threshold))
+    null_dim = source.size - rank
+    null_vectors = vh[rank:].conj().T
+    full = np.zeros((null_dim, basis.size), dtype=np.complex128)
+    full[:, source] = null_vectors.T
+    return null_dim, [FockVector(basis, row) for row in full]
 
 
 def ladder_step(p: float, j: int, n: int) -> float:
@@ -178,11 +156,6 @@ def ladder_family(basis: FockBasis, j: int, k: int, nmax: int) -> list[FockVecto
         nxt = raise_op.apply(states[-1].coefficients) / ladder_step(basis.p, j, n)
         states.append(FockVector(basis, nxt))
     return states
-
-
-def ladder_state(basis: FockBasis, j: int, k: int, n: int) -> FockVector:
-    """Rung n of the ladder above the (j, k) zero mode."""
-    return ladder_family(basis, j, k, n)[n]
 
 
 def b2sq_shift(j: int, k: int, p: float, direction: str) -> float:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -13,13 +12,8 @@ import pytest
 CLI = [sys.executable, "-m", "parafock.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300)
 
 
 def load_schema():
@@ -109,6 +103,11 @@ def test_bessel_value_and_validation():
     assert bad.returncode == 2
     zero_x = run_cli("bessel", "--kind", "k", "--nu", "0.5", "--x", "0")
     assert zero_x.returncode == 2
+    # K_59.9(1e-300) exceeds the double range: a usage error, not inf with exit 0
+    overflow = run_cli("bessel", "--kind", "k", "--nu", "59.9", "--x", "1e-300")
+    assert overflow.returncode == 2
+    assert overflow.stdout == ""
+    assert overflow.stderr.startswith("parafock: error:")
 
 
 def test_b2_elements_deviations_are_tiny():
@@ -185,17 +184,6 @@ def test_usage_failures_exit_2():
         assert proc.returncode == 2, args
         assert proc.stdout == ""
         assert "usage" in proc.stderr or proc.stderr.startswith("parafock: error:")
-
-
-def test_threads_env_is_validated():
-    fine = run_cli("basis", "--p", "3", "--cutoff", "1", env_extra={"PARAFOCK_THREADS": "4"})
-    assert fine.returncode == 0
-    for bad_value in ("abc", "0", "-2"):
-        bad = run_cli(
-            "basis", "--p", "3", "--cutoff", "1",
-            env_extra={"PARAFOCK_THREADS": bad_value},
-        )
-        assert bad.returncode == 2, bad_value
 
 
 def test_repeat_runs_are_byte_identical():

@@ -9,7 +9,6 @@ import pytest
 from parafock import (
     b2_element,
     b2_element_oracle,
-    b2sq_on_coherent,
     b2sq_shift,
     bessel_i,
     bicoherent,
@@ -238,9 +237,9 @@ def test_b2_element_against_matrix_oracle():
         assert abs(closed - oracle) <= 1e-10, jp
 
 
-def test_b2sq_on_coherent_delegates_to_the_shift():
-    assert b2sq_on_coherent(2.5, 0, 2, "lower") == b2sq_shift(0, 2, 2.5, "lower")
-    assert b2sq_on_coherent(2.5, 1, 1, "raise") == b2sq_shift(1, 1, 2.5, "raise")
+def test_build_coherent_rejects_bool_family_labels():
+    with pytest.raises(TypeError):
+        build_coherent(2.5, True, 1, 0.5)
 
 
 def test_bicoherent_prefactor_ratio_law():

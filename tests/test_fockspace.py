@@ -13,6 +13,7 @@ from parafock import (
     enumerate_basis,
     even_ind,
     odd_ind,
+    verify,
     weight_of,
 )
 
@@ -117,6 +118,65 @@ def test_inner_rejects_mismatched_bases():
     b = enumerate_basis(P_DEFAULT, 2)
     with pytest.raises(ValueError):
         FockVector.unit(a, GZPattern(0, 0, 0)).inner(FockVector.unit(b, GZPattern(0, 0, 0)))
+
+
+def _vacuum_pair(p_other):
+    """Vacuum unit vectors on two bases of equal size, the second at p_other."""
+    a = enumerate_basis(P_DEFAULT, 2)
+    b = enumerate_basis(p_other, 2)
+    return FockVector.unit(a, GZPattern(0, 0, 0)), FockVector.unit(b, GZPattern(0, 0, 0))
+
+
+def test_inner_rejects_a_basis_with_another_p():
+    u, v = _vacuum_pair(3.0)
+    with pytest.raises(ValueError):
+        u.inner(v)
+    u, v = _vacuum_pair(P_DEFAULT)
+    assert u.inner(v) == 1.0
+
+
+def test_add_rejects_a_basis_with_another_p():
+    u, v = _vacuum_pair(3.0)
+    with pytest.raises(ValueError):
+        u + v
+    u, v = _vacuum_pair(P_DEFAULT)
+    assert (u + v).coefficients[0] == 2.0
+
+
+def test_sub_rejects_a_basis_with_another_p():
+    u, v = _vacuum_pair(3.0)
+    with pytest.raises(ValueError):
+        u - v
+    u, v = _vacuum_pair(P_DEFAULT)
+    assert (u - v).norm() == 0.0
+
+
+def test_label_arrays_and_lookup_table():
+    basis = enumerate_basis(P_DEFAULT, 3)
+    for i, m in enumerate(basis.patterns):
+        assert (basis.m12[i], basis.m22[i], basis.m11[i]) == (m.m12, m.m22, m.m11)
+        assert basis.lookup[m.m12, m.m22, m.m11] == i
+    # outside the basis: betweenness violated, past the cutoff, or a label of -1
+    for labels in ((1, 2, 1), (2, 0, 3), (4, 0, 0), (3, 3, 4), (-1, 0, 0), (1, -1, 0)):
+        assert basis.lookup[labels] == -1, labels
+    assert sorted(basis.lookup[basis.lookup >= 0]) == list(range(basis.size))
+
+
+def test_verify_battery_builds_no_pattern_objects(monkeypatch):
+    built = []
+    original = GZPattern.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GZPattern, "__post_init__", counting)
+    GZPattern(0, 0, 0)
+    assert len(built) == 1
+    built.clear()
+    results = verify.run_all()
+    assert all(r.passed for r in results)
+    assert built == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,142 @@
+"""Golden CLI outputs: the sha256 of stdout for pinned runs of each engine subcommand.
+
+The hashes pin every generator matrix, the basis table, the zero-mode
+report, the triple relations and the b2- oracle byte for byte.
+``verify-all`` is hashed without its runtime_seconds column and its
+total_runtime_seconds line, which are wall-clock times.  Outputs that go
+through BLAS or LAPACK (norms, inner products, the SVD of the kernel
+oracle) are pinned for the numpy build the suite runs on.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from parafock import cli
+
+GOLDEN = {
+    "op-matrix --gen b1+ --p 1.3 --cutoff 5 --format csv":
+        "17a3670ea38995150e2217b67b58a8551a2401a991627759f826b1d1071f28ec",
+    "op-matrix --gen b1+ --p 1.3 --cutoff 5 --format json":
+        "c8a558f34ee717218def7cba8377c121d690066b0ba18c98b37e0f6b2ffaf535",
+    "op-matrix --gen b1- --p 1.3 --cutoff 5 --format csv":
+        "e1379c2cf3afcee805734a98784b396e9c7fff289ab69fccb7d56138aead708e",
+    "op-matrix --gen b1- --p 1.3 --cutoff 5 --format json":
+        "d24711377110c3fc6397f327e2468e37f29932ce7bf2a5c104deb1ec90c59309",
+    "op-matrix --gen b2+ --p 1.3 --cutoff 5 --format csv":
+        "53a8b2987d2e980a8ffe48bec966a77458710d00ec8135ebd56d5288ea1a7f4e",
+    "op-matrix --gen b2+ --p 1.3 --cutoff 5 --format json":
+        "1ccd5c730c6d43f057a3a88d0eb163320173118c9fddacdfb0fffed595a76426",
+    "op-matrix --gen b2- --p 1.3 --cutoff 5 --format csv":
+        "7c8abd5dc458027d3a70dd9aad9848d41ae620864ccbe612434bc1bb158ec52a",
+    "op-matrix --gen b2- --p 1.3 --cutoff 5 --format json":
+        "ea54697e1e2128a376b87442ab740a5724e2537af36a701c53eb3f5cbee89fe2",
+    "op-matrix --gen h1 --p 1.3 --cutoff 5 --format csv":
+        "b421f19ff3f81c160ef7cb74dee211e75274722588ac5105ab338080f7893d59",
+    "op-matrix --gen h1 --p 1.3 --cutoff 5 --format json":
+        "dba4c43feb5721180529cb057601a9378e772e92b51bcc17c46bc1bc083746fc",
+    "op-matrix --gen h2 --p 1.3 --cutoff 5 --format csv":
+        "a27a3379180579767b3e0d9e82c4bd2528d3e9ea7d8a2a64538024a02ab71b0b",
+    "op-matrix --gen h2 --p 1.3 --cutoff 5 --format json":
+        "d7aba1d3a0bef7404261f2f9b6c61d00e100b2758e722bb0ef7fb4d8de53d657",
+    "op-matrix --gen b1+ --p 2 --cutoff 4 --format csv":
+        "aa765e9a4a54437c563df459ca7ab209c0c76635ade3fb0b549ce38b1d2f0637",
+    "op-matrix --gen b1+ --p 2 --cutoff 4 --format json":
+        "9748349fd102a96f835d9edbd86851fe24064bc51db80a84d338f499fe8ef04c",
+    "op-matrix --gen b1- --p 2 --cutoff 4 --format csv":
+        "bb05ae89dde77a6f7249c0db9825639eaeaf2fd289759ed0f14a479d447b7888",
+    "op-matrix --gen b1- --p 2 --cutoff 4 --format json":
+        "aefdcffd72096de9c0ac67cde41d08c3ac72885bd695343d765111804171008c",
+    "op-matrix --gen b2+ --p 2 --cutoff 4 --format csv":
+        "f4acad516417042d11753c95f800b0415d675efd43d9be38c444d3db4708cd13",
+    "op-matrix --gen b2+ --p 2 --cutoff 4 --format json":
+        "45bdbcf6e57f6a058a202a3222a2c3de511629e02c8d8ad3fe873a3ae79ac086",
+    "op-matrix --gen b2- --p 2 --cutoff 4 --format csv":
+        "4673276aa6940a256b980f56e16b7494c36df9b534748d258021622c81a817b9",
+    "op-matrix --gen b2- --p 2 --cutoff 4 --format json":
+        "e3c1337b4061a7dbe471a1b2fa6b51a5722b7fbd436de24dbccb75d17e653ee4",
+    "op-matrix --gen h1 --p 2 --cutoff 4 --format csv":
+        "c20d35c766edf4ab0851bc8aafc04fa5d4be35bce22f95718b4bb1355241ed7a",
+    "op-matrix --gen h1 --p 2 --cutoff 4 --format json":
+        "83526f745f21196ff548d9b690250a020e6d9e6e97d6eba890d16ce31b267de0",
+    "op-matrix --gen h2 --p 2 --cutoff 4 --format csv":
+        "1e6952dddb4e838fdcdbb40e4915d9fa3c7bac19f2ba74cddc54e86bee2575bd",
+    "op-matrix --gen h2 --p 2 --cutoff 4 --format json":
+        "259cb9ed029a7781ca569dc1392423b382e8b881a02d5ad960ef99f3a57f9dd7",
+    "op-matrix --gen b1+ --p 2.7 --cutoff 6 --format csv":
+        "a51145afaf6ca9a671bd68e8282429651a14fa32e5462c36cdd19c258d542bf0",
+    "op-matrix --gen b1+ --p 2.7 --cutoff 6 --format json":
+        "3a8928fdcf80be03b38c29b8b77648e876a5944e0a4a7ea6633e1f6e9fd5902a",
+    "op-matrix --gen b1- --p 2.7 --cutoff 6 --format csv":
+        "ab53277dc26d3143717de0413a6367b8c462b7b55f9f0f4e2ff06234f774c731",
+    "op-matrix --gen b1- --p 2.7 --cutoff 6 --format json":
+        "324179b35848dd9ce41dc80936db23f9603a9790c3474d77629bc5fd38cfc35e",
+    "op-matrix --gen b2+ --p 2.7 --cutoff 6 --format csv":
+        "d85c8c90b569eaccfbe0b304820d41fed9379cd1d57696364f2aff7c9f7a5677",
+    "op-matrix --gen b2+ --p 2.7 --cutoff 6 --format json":
+        "17d08b37285a973bb599d5fb3f4c5ad9c604ca4e832deab09e038a4b320a9505",
+    "op-matrix --gen b2- --p 2.7 --cutoff 6 --format csv":
+        "0cc7f329e6eca7cecef32b2f5c9ee78d72187d3899c84820c1f09d67dbd2dcb1",
+    "op-matrix --gen b2- --p 2.7 --cutoff 6 --format json":
+        "459ac55ea166e87046557e7f3e6ff62c1e3dad94218e867e402db8e418530a59",
+    "op-matrix --gen h1 --p 2.7 --cutoff 6 --format csv":
+        "72acf1bbcf5e02b9aac4d9568fd2569b6a8aa3412baa86d65bc3c4b53b844e14",
+    "op-matrix --gen h1 --p 2.7 --cutoff 6 --format json":
+        "d3e26c3a16a0e95cbb01d18931ea7b008c4389f444b473c28656c2de701c11b8",
+    "op-matrix --gen h2 --p 2.7 --cutoff 6 --format csv":
+        "0cdddbc5e6641e89b59dc336a15337ece037dc68f231f5cca371c89f6ab17ca2",
+    "op-matrix --gen h2 --p 2.7 --cutoff 6 --format json":
+        "2b684e7dc369d560bc3d7c73be3abe4e571a185cb313dfde85a442509f2c6df4",
+    "basis --p 2.7 --cutoff 6":
+        "9ad2a1825367bec806b10d978cc8178264c1e88195491d870d6ed4b991026221",
+    "basis --p 1.3 --cutoff 3 --format json":
+        "3778bde796ea9d2b6fb78ae48cbb44fb9f535f7c331dc65ad0016fa6f5cdf80e",
+    "zeromodes --p 2.5 --j 2 --k 4":
+        "ca212d38644d4e8d63205143dd7f28d9b13fd96a1024fa811b7014d595ce809e",
+    "zeromodes --p 3 --j 1 --k 1 --format json":
+        "e8b1f06461ef47b975b099162e8d8a6e60d1d65b28d3f739fe5e8c2f4347d9d6",
+    "verify-triple --p 1.3 --cutoff 8":
+        "405642a4f83398ee9fa0511c4c30fcecd9cb013165030cb5c81ce5236bbe8b46",
+    "verify-triple --p 2.0 --cutoff 8":
+        "6419dfcefd5e246c2ca6d8725655560e0ddb26183173470d81029d18ae17c5ae",
+    "verify-triple --p 2.5 --cutoff 8":
+        "3634bdd42bbb693a30f9dcbb062ffecedc40ba040dc5733f20e65e93ce39d56b",
+    "verify-triple --p 3.0 --cutoff 8":
+        "048834e5c99fb9518ec91f0551cba015d78bd40765d200d416e910edd42b3cdb",
+    "verify-triple --p 4.7 --cutoff 8":
+        "934b6e41f60ffa16231bd9597efa3bfce4639a70aee78aad53fee4000639c31d",
+    "verify-triple --p 2.5 --cutoff 24":
+        "8210bcd1b1fd96674720ffb4eb2f8f56d9670ddd16e3f6c65e881be4575f3b3f",
+    "b2-elements --p 2.5 --j 1 --k 2 --nmax 57 --alpha 0.7,0.2 --alpha-prime 0.3,-0.5":
+        "7c2f9667ca97f8ae8507f42215cfa8da50dfb66f2cb40eb16654c168bb5da59c",
+    "verify-all":
+        "a5ab2e93f9bd4f079a3db2ad4ea25fdad4dd0848687bc4953656990982f6f1f6",
+}
+
+
+def _strip_runtimes(text):
+    lines = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("# total_runtime_seconds="):
+            continue
+        if not line.startswith(("#", "name,")):
+            # name,passed,max_deviation,tolerance,runtime_seconds,detail
+            fields = line.split(",", 5)
+            line = ",".join(fields[:4] + fields[5:])
+        lines.append(line)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_cli_output_is_pinned(command):
+    argv = command.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0
+    text = out.getvalue()
+    if argv[0] == "verify-all":
+        text = _strip_runtimes(text)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[command]

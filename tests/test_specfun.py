@@ -10,8 +10,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from parafock import (
     bessel_i,
@@ -20,11 +18,8 @@ from parafock import (
     besseli_values,
     besselk_values,
     digamma,
-    gamma_fn,
     hyp0f1,
     hyp0f1_complex,
-    log_gamma,
-    pochhammer,
 )
 
 ORACLE_REL_TOL = 1e-12
@@ -174,20 +169,6 @@ def test_validation_windows():
 
 
 def test_gamma_helpers():
-    for n in range(1, 10):
-        assert gamma_fn(n + 1) == pytest.approx(math.factorial(n), rel=1e-14)
-    assert log_gamma(7.3) == pytest.approx(math.lgamma(7.3), rel=1e-14)
     assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-12)
     harmonic = sum(1.0 / m for m in range(1, 7))
     assert digamma(7.0) == pytest.approx(-EULER_GAMMA + harmonic, rel=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    a10=st.integers(min_value=6, max_value=80),
-    n=st.integers(min_value=0, max_value=12),
-)
-def test_pochhammer_recurrence(a10, n):
-    a = a10 / 10.0
-    assert pochhammer(a, n + 1) == pytest.approx(pochhammer(a, n) * (a + n), rel=1e-12)
-    assert pochhammer(a, 0) == 1.0

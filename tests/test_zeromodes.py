@@ -13,7 +13,6 @@ from parafock import (
     kernel_oracle,
     ladder_family,
     ladder_normalization,
-    ladder_state,
     ladder_step,
     odd_ind,
     zero_mode_coeffs,
@@ -159,14 +158,6 @@ def test_ladder_family_is_orthonormal():
     family = ladder_family(basis, 1, 1, 7)
     gram = np.array([[u.inner(v) for v in family] for u in family])
     np.testing.assert_allclose(gram, np.eye(len(family)), atol=GRAM_TOL)
-
-
-def test_ladder_state_matches_family():
-    p = 2.5
-    basis = enumerate_basis(p, 7)
-    family = ladder_family(basis, 0, 1, 4)
-    one = ladder_state(basis, 0, 1, 3)
-    assert (one - family[3]).norm() == 0.0
 
 
 def test_ladder_family_rejects_small_cutoff():
