@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import SparseOperator, build_generator
 from .fockspace import FockBasis, FockVector, even_ind, odd_ind
-from .specfun import bessel_i, hyp0f1, hyp0f1_complex
+from .specfun import bessel_i, hyp0f1
 from .zeromodes import _validate_family, ladder_family, ladder_step
 
 _ALPHA_MAX = 5.0
@@ -27,13 +27,6 @@ _AUTO_DECAY = 1e-16
 
 class TruncationError(RuntimeError):
     """The requested rung count cannot hold the state to the target decay."""
-
-
-def _validate_ladder(p: float, j: int) -> None:
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +120,7 @@ def coherent_norm(p: float, j: int, alpha: complex) -> float:
     Equals (x/2)^(1-nu) Gamma(nu) (I_(nu-1)(x) + I_nu(x)) at x = |alpha|^2,
     nu = p/2 + j; the x -> 0 limit is 1.
     """
-    _validate_ladder(p, j)
+    _validate_family(j, j, p)
     x = abs(complex(alpha)) ** 2
     if x == 0.0:
         return 1.0
@@ -138,7 +131,7 @@ def coherent_norm(p: float, j: int, alpha: complex) -> float:
 
 def coherent_norm_series(p: float, j: int, alpha: complex) -> float:
     """Squared norm of the unnormalized eigenstate, hypergeometric route."""
-    _validate_ladder(p, j)
+    _validate_family(j, j, p)
     x = abs(complex(alpha)) ** 2
     nu = p / 2.0 + j
     arg = (x / 2.0) ** 2
@@ -153,11 +146,11 @@ def coherent_overlap(p: float, j: int, alpha_prime: complex, alpha: complex) -> 
     is involved.  At alpha' = -alpha this reduces to the real ratio
     (I_(nu-1) - I_nu) / (I_(nu-1) + I_nu) at x = |alpha|^2.
     """
-    _validate_ladder(p, j)
+    _validate_family(j, j, p)
     z = np.conjugate(complex(alpha_prime)) * complex(alpha)
     nu = p / 2.0 + j
     arg = (z / 2.0) ** 2
-    numerator = hyp0f1_complex(nu, arg) + z / (2.0 * nu) * hyp0f1_complex(nu + 1.0, arg)
+    numerator = hyp0f1(nu, arg).value + z / (2.0 * nu) * hyp0f1(nu + 1.0, arg).value
     denom = math.sqrt(coherent_norm(p, j, alpha_prime) * coherent_norm(p, j, alpha))
     return complex(numerator / denom)
 
@@ -240,14 +233,14 @@ def b2_element(
     if jp == j - 1:
         front = 2.0 * (-1.0) ** (j - 1) * np.conjugate(alpha_prime)
         root = math.sqrt(j * (p - 2.0 + j) * (p + k + j - 1.0 - even_ind(k - j)))
-        return complex(hyp0f1_complex(nu, arg) * front * root / (p + 2.0 * j - 2.0) ** 1.5)
+        return complex(hyp0f1(nu, arg).value * front * root / (p + 2.0 * j - 2.0) ** 1.5)
 
     if jp == j:
         s_root = math.sqrt(k - j + odd_ind(k - j) * (p - 1.0 + 2.0 * j))
         ratio = 1.0 if j == 0 else (p - 2.0) / (p - 2.0 + 2.0 * j)
-        first = hyp0f1_complex(nu, arg) * ratio * s_root
+        first = hyp0f1(nu, arg).value * ratio * s_root
         second = (
-            hyp0f1_complex(nu + 1.0, arg)
+            hyp0f1(nu + 1.0, arg).value
             * prod
             * (p - 2.0)
             / (p + 2.0 * j) ** 2
@@ -257,7 +250,7 @@ def b2_element(
 
     front = 2.0 * alpha * (-1.0) ** j
     root = math.sqrt((j + 1.0) * (p - 1.0 + j) * (k - j - odd_ind(k - j)))
-    return complex(hyp0f1_complex(nu + 1.0, arg) * front * root / (p + 2.0 * j) ** 1.5)
+    return complex(hyp0f1(nu + 1.0, arg).value * front * root / (p + 2.0 * j) ** 1.5)
 
 
 def b2_element_oracle(
@@ -335,7 +328,7 @@ def bicoherent(
     components, so applying it telescopes onto beta times the state with
     only the k = kmax top dropped.
     """
-    _validate_ladder(p, j)
+    _validate_family(j, j, p)
     if l not in (j, j + 1):
         raise ValueError(f"need l in {{j, j + 1}} = {{{j}, {j + 1}}}, got l = {l}")
     if kmax < 2:

@@ -138,14 +138,7 @@ def _tail_cutoff(q: float, n_max: int, tol: float) -> int:
     return x
 
 
-def radial_grid(
-    p: float,
-    j: int,
-    n_max: int,
-    tol: float = _TAIL_TOL,
-    nodes_per_panel: int = _NODES_PER_PANEL,
-    grading_depth: int = _GRADING_DEPTH,
-) -> QuadratureGrid:
+def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL) -> QuadratureGrid:
     """Build the quadrature grid adequate for moments of order up to n_max.
 
     The upper end X comes from the K-decay criterion e^(-X) X^(q + 2 n_max)
@@ -158,9 +151,9 @@ def radial_grid(
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     x_top = _tail_cutoff(q, int(n_max), tol)
-    graded = [0.0] + [2.0 ** (-grading_depth + i) for i in range(grading_depth + 1)]
+    graded = [0.0] + [2.0 ** (-_GRADING_DEPTH + i) for i in range(_GRADING_DEPTH + 1)]
     boundaries = tuple(graded + [float(b) for b in range(2, x_top + 1)])
-    return QuadratureGrid(boundaries, nodes_per_panel)
+    return QuadratureGrid(boundaries, _NODES_PER_PANEL)
 
 
 def stieltjes_closed_form(kind: str, p: float, j: int, n: int) -> float:

@@ -31,8 +31,6 @@ _HYP_X_MAX = 650.0
 _NU_MAX = 60.0
 _INTEGER_ORDER_MARGIN = 1e-6
 
-_EULER_GAMMA = 0.5772156649015328606
-
 _GL32_NODES, _GL32_WEIGHTS = leggauss(32)
 _GL24_NODES, _GL24_WEIGHTS = leggauss(24)
 
@@ -41,33 +39,17 @@ _GL24_NODES, _GL24_WEIGHTS = leggauss(24)
 class SeriesResult:
     """Value of a truncated series with the number of terms and a tail bound."""
 
-    value: float
+    value: float | complex
     terms_used: int
     tail_bound: float
 
 
-def digamma(x: float) -> float:
-    """Digamma function for x > 0 via upward recurrence and the large-x expansion."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli tail through x^-12; the first dropped term is below 1e-15 at x >= 10.
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
-    )
-    return acc + math.log(x) - 0.5 / x - tail
+def hyp0f1(a: float, x: float | complex, min_terms: int = 0) -> SeriesResult:
+    """Confluent limit series sum_k x^k / ((a)_k k!) for real or complex x.
 
-
-def hyp0f1(a: float, x: float, min_terms: int = 0) -> SeriesResult:
-    """Confluent limit series sum_k x^k / ((a)_k k!) for real x.
-
-    Terminates when the next term falls below 1e-17 of the accumulated sum;
-    the reported tail bound is twice the first omitted term.
+    Terminates when the next term falls below 1e-17 of the accumulated sum in
+    modulus; the reported tail bound is twice the modulus of the first omitted
+    term.  The value is complex for complex x, except at x = 0 where it is 1.0.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
@@ -87,26 +69,7 @@ def hyp0f1(a: float, x: float, min_terms: int = 0) -> SeriesResult:
             raise RuntimeError("series failed to terminate")
 
 
-def hyp0f1_complex(a: float, z: complex) -> complex:
-    """Complex-argument variant of hyp0f1 with the same termination rule."""
-    if not a > 0:
-        raise ValueError(f"need a > 0, got {a}")
-    if abs(z) > _HYP_X_MAX:
-        raise ValueError(f"|z| = {abs(z)} outside the operating range (max {_HYP_X_MAX})")
-    total = complex(1.0)
-    term = complex(1.0)
-    k = 0
-    while True:
-        term = term * z / ((a + k) * (k + 1))
-        if abs(term) < _RELATIVE_STOP * abs(total):
-            return total
-        total += term
-        k += 1
-        if k > _MAX_TERMS:
-            raise RuntimeError("series failed to terminate")
-
-
-def bessel_i(nu: float, x: float, min_terms: int = 0) -> SeriesResult:
+def bessel_i(nu: float, x: float) -> SeriesResult:
     """Modified Bessel function I_nu(x) from its ascending series, nu > -1, 0 <= x <= 50.
 
     All terms are positive, so the evaluation is cancellation-free.
@@ -126,7 +89,7 @@ def bessel_i(nu: float, x: float, min_terms: int = 0) -> SeriesResult:
     n = 0
     while True:
         nxt = term * q / ((n + 1) * (nu + n + 1))
-        if nxt < _RELATIVE_STOP * total and n + 1 >= min_terms:
+        if nxt < _RELATIVE_STOP * total:
             return SeriesResult(total, n + 1, 2.0 * nxt)
         term = nxt
         total += term

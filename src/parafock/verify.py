@@ -22,6 +22,7 @@ from .algebra import (
     verify_triple_relations,
 )
 from .coherent import (
+    _ladder_sum,
     b2_element,
     b2_element_oracle,
     bicoherent,
@@ -273,12 +274,11 @@ def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
     basis = enumerate_basis(p, cutoff)
     b1m = build_generator(basis, "b1-")
     b2m = build_generator(basis, "b2-")
-    acc = np.zeros(basis.size, dtype=np.complex128)
-    for kk in range(kmax + 1):
-        family = ladder_family(basis, j, 2 * kk + l, nmax)
-        for n in range(nmax + 1):
-            acc += state.prefactors[kk] * base.coeffs[n] * family[n].coefficients
-    psi = FockVector(basis, acc)
+    # the components live in disjoint weight spaces, so summing them adds no rounding
+    psi = FockVector(basis, sum(
+        _ladder_sum(state.prefactors[kk] * base.coeffs, ladder_family(basis, j, 2 * kk + l, nmax))
+        for kk in range(kmax + 1)
+    ))
     psi_norm = psi.norm()
     d = state.prefactors
     a = base.coeffs

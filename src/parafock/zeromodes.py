@@ -16,6 +16,9 @@ import numpy as np
 from .algebra import SparseOperator, build_generator
 from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 
+# singular values at most this times max(1, largest) count as zero in kernel_oracle
+_RANK_TOL = 1e-10
+
 
 def _validate_family(j: int, k: int, p: float) -> None:
     if isinstance(j, bool) or isinstance(k, bool):
@@ -72,7 +75,7 @@ def zero_mode_vector(basis: FockBasis, j: int, k: int) -> FockVector:
 
 
 def kernel_oracle(
-    basis: FockBasis, j: int, k: int, op: SparseOperator | None = None, tol: float = 1e-10
+    basis: FockBasis, j: int, k: int, op: SparseOperator | None = None
 ) -> tuple[int, list[FockVector]]:
     """Kernel of b1- restricted to the weight block (p/2 + j, p/2 + k), via SVD.
 
@@ -95,7 +98,7 @@ def kernel_oracle(
     block = op.block(target, source).real
     # with no target rows the SVD returns no singular values and vh = identity
     _, s, vh = np.linalg.svd(block)
-    threshold = tol * max(1.0, float(s[0]) if s.size else 1.0)
+    threshold = _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > threshold))
     null_dim = source.size - rank
     null_vectors = vh[rank:].conj().T

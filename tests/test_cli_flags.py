@@ -1,0 +1,148 @@
+"""The declared CLI surface: flags per subcommand, JSON meta order, input validation.
+
+These tests call ``cli.main`` in-process, so an exception escaping it fails
+the test instead of printing a traceback.
+"""
+
+import argparse
+import json
+
+import pytest
+
+from parafock import cli
+
+F, I, C = "float", "int", "_parse_complex"
+COMMON = [
+    ("--format", None, False, "csv", ("csv", "json"), None),
+    ("--output", None, False, None, None, None),
+]
+# (flag, type, required, default, choices, nargs) in declaration order
+SURFACE = {
+    "basis": [("--p", F, True, None, None, None), ("--cutoff", I, True, None, None, None)],
+    "op-matrix": [
+        ("--gen", None, True, None, ("b1+", "b1-", "b2+", "b2-", "h1", "h2"), None),
+        ("--p", F, True, None, None, None),
+        ("--cutoff", I, True, None, None, None),
+    ],
+    "verify-triple": [
+        ("--p", F, True, None, None, None),
+        ("--cutoff", I, True, None, None, None),
+        ("--tol", F, False, 1e-12, None, None),
+    ],
+    "zeromodes": [
+        ("--p", F, True, None, None, None),
+        ("--j", I, True, None, None, None),
+        ("--k", I, True, None, None, None),
+    ],
+    "coherent": [
+        ("--p", F, True, None, None, None),
+        ("--j", I, True, None, None, None),
+        ("--k", I, True, None, None, None),
+        ("--alpha", C, True, None, None, None),
+        ("--nmax", I, False, None, None, None),
+        ("--normalized", None, False, False, None, 0),
+        ("--cat", None, False, None, ("+", "-"), None),
+    ],
+    "b2-elements": [
+        ("--p", F, True, None, None, None),
+        ("--j", I, True, None, None, None),
+        ("--k", I, True, None, None, None),
+        ("--alpha", C, True, None, None, None),
+        ("--alpha-prime", C, True, None, None, None),
+        ("--nmax", I, False, 20, None, None),
+    ],
+    "bicoherent": [
+        ("--p", F, True, None, None, None),
+        ("--j", I, True, None, None, None),
+        ("--l", I, True, None, None, None),
+        ("--alpha", C, True, None, None, None),
+        ("--beta", C, True, None, None, None),
+        ("--kmax", I, False, 12, None, None),
+    ],
+    "bessel": [
+        ("--kind", None, True, None, ("i", "k"), None),
+        ("--nu", F, True, None, None, None),
+        ("--x", F, True, None, None, None),
+    ],
+    "moments": [
+        ("--p", F, True, None, None, None),
+        ("--j", I, True, None, None, None),
+        ("--kind", None, True, None, ("I", "II"), None),
+        ("--nmax", I, False, 5, None, None),
+    ],
+    "resolution": [
+        ("--p", F, True, None, None, None),
+        ("--j", I, True, None, None, None),
+        ("--ncheck", I, False, 10, None, None),
+        ("--mode", None, False, "offdiag", ("offdiag", "cat"), None),
+        ("--tol", F, False, 1e-6, None, None),
+    ],
+    "verify-all": [("--p", F, False, None, None, None), ("--cutoff", I, False, None, None, None)],
+}
+
+
+def run(capsys, command):
+    code = cli.main(command.split())
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_every_subcommand_declares_the_pinned_flags():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(SURFACE)
+    for name, sub in subs.choices.items():
+        got = [
+            (a.option_strings[0], getattr(a.type, "__name__", None), a.required, a.default,
+             None if a.choices is None else tuple(a.choices), a.nargs)
+            for a in sub._actions if a.option_strings and a.dest != "help"
+        ]
+        assert got == SURFACE[name] + COMMON, name
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("b2-elements --p 2.5 --j 0 --k 1 --alpha 0.5,0 --alpha-prime 0.3,0 --nmax 6",
+     ["p", "j", "k", "nmax", "alpha", "alpha_prime"]),
+    ("coherent --p 2.5 --j 0 --k 1 --alpha 0.5,0 --nmax 6 --normalized --cat +",
+     ["p", "j", "k", "nmax", "alpha", "normalized", "cat"]),
+    ("resolution --p 2.5 --j 0 --ncheck 2", ["p", "tol", "j", "ncheck", "mode"]),
+])
+def test_json_meta_lists_flags_in_declaration_order(capsys, command, keys):
+    code, out, _ = run(capsys, command + " --format json")
+    assert code == 0
+    assert list(json.loads(out)["meta"]) == ["subcommand", "version", *keys]
+
+
+@pytest.mark.parametrize("command", [
+    "coherent --p inf --j 0 --k 1 --alpha 0.5,0",
+    "verify-triple --p 2.5 --cutoff 8 --tol inf",
+    "resolution --p 2.5 --j 0 --ncheck 4 --tol inf",
+    "basis --p inf --cutoff 2",
+    "verify-all --p inf",
+    "coherent --p 2.5 --j 0 --k 1 --alpha nan,0",
+    "b2-elements --p 2.5 --j 1 --k 2 --alpha 0.7,0.2 --alpha-prime nan,0",
+    "bicoherent --p 2.5 --j 0 --l 1 --alpha 0.5,0 --beta 0.5,nan",
+    "bessel --kind k --nu nan --x 1",
+    "bessel --kind i --nu inf --x 1",
+    "bessel --kind i --nu 0.5 --x inf",
+])
+def test_non_finite_values_are_usage_errors(capsys, command):
+    code, out, err = run(capsys, command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parafock: error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, code", [
+    ("basis --p 1 --cutoff 1", 2),
+    ("basis --p 1.0000001 --cutoff 0", 0),
+    ("basis --p 2 --cutoff -1", 2),
+    ("bessel --kind i --nu 0.5 --x 0", 0),
+    ("bessel --kind i --nu 0.5 --x -1e-300", 2),
+    ("verify-triple --p 2.5 --cutoff 3 --tol 0", 2),
+    ("moments --p 2.5 --j 0 --kind I --nmax 0", 2),
+    ("verify-triple --p 2.5 --cutoff 2", 2),
+])
+def test_lower_bounds_keep_their_inclusiveness(capsys, command, code):
+    assert run(capsys, command)[0] == code

@@ -242,6 +242,18 @@ def test_build_coherent_rejects_bool_family_labels():
         build_coherent(2.5, True, 1, 0.5)
 
 
+def test_norm_routes_reject_non_integer_family_labels():
+    # no (j, k) family exists at j = 0.5, and a bool is not a family label
+    with pytest.raises(TypeError):
+        coherent_norm(2.5, 0.5, 1.0)
+    with pytest.raises(TypeError):
+        coherent_norm_series(2.5, True, 1.0)
+    with pytest.raises(TypeError):
+        coherent_overlap(2.5, 1.0, 0.5, 0.5)
+    with pytest.raises(TypeError):
+        bicoherent(2.5, 0.0, 0, 0.5, 0.5, 4)
+
+
 def test_bicoherent_prefactor_ratio_law():
     p, j, l = 2.5, 1, 2
     alpha, beta = 0.9, 1.2 - 0.7j
