@@ -5,11 +5,13 @@ m12, m22 up or down by one while m11 follows the mode index; every matrix
 element is a square root of an integer times one of two structure
 coefficients.  Each generator is built in one vectorized pass over the
 basis arrays: a move whose target pattern is absent from the lookup table
-is skipped, so the builders never store zeros.
+is skipped, so the builders never store zeros.  Each generator is built once
+per basis and shared, which is safe because operator arrays are read-only.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,6 +22,9 @@ from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
 _BRACKET_KINDS = ("commutator", "anticommutator")
+
+# basis -> {generator name: operator}; an entry dies with its basis
+_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def structure_f(m12, m22, p: float):
@@ -56,36 +61,35 @@ class SparseOperator:
     The constructor takes entries sorted by (col, row) without repeats;
     ``from_entries`` takes any triplets.  Sums and products add the terms
     of each entry in a fixed order (column, right factor entry, left factor
-    entry) and drop exact zeros.  ``boundary_rows`` records the source
-    indices whose raising image crossed the cutoff shell and was clipped;
-    columns listed there are inexact and every verification routine
-    restricts itself to interior columns instead.
+    entry) and drop exact zeros.  The three arrays are read-only views.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals", "boundary_rows")
+    __slots__ = ("dim", "rows", "cols", "vals")
 
-    def __init__(self, dim: int, rows, cols, vals, boundary_rows=frozenset()):
-        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
-        self.boundary_rows = frozenset(boundary_rows)
+    def __init__(self, dim: int, rows, cols, vals):
+        self.dim = dim
+        self.rows, self.cols, self.vals = (np.asarray(a).view() for a in (rows, cols, vals))
+        for a in (self.rows, self.cols, self.vals):
+            a.flags.writeable = False
 
     @classmethod
-    def _accumulate(cls, dim: int, rows, cols, vals, boundary_rows=frozenset()) -> "SparseOperator":
+    def _accumulate(cls, dim: int, rows, cols, vals) -> "SparseOperator":
         """Sum the entries that share a position, in the given order; drop exact zeros."""
         keys = np.asarray(cols, dtype=np.intp) * dim + np.asarray(rows, dtype=np.intp)
         keys, where = np.unique(keys, return_inverse=True)
         sums = _sum_by(where, np.asarray(vals), len(keys))
         keep = sums != 0
-        return cls(dim, keys[keep] % dim, keys[keep] // dim, sums[keep], boundary_rows)
+        return cls(dim, keys[keep] % dim, keys[keep] // dim, sums[keep])
 
     @classmethod
     def zero(cls, dim: int) -> "SparseOperator":
         return cls._accumulate(dim, (), (), ())
 
     @classmethod
-    def from_entries(cls, dim: int, entries, boundary_rows=frozenset()) -> "SparseOperator":
+    def from_entries(cls, dim: int, entries) -> "SparseOperator":
         triplets = list(entries)
         rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
-        return cls._accumulate(dim, rows, cols, vals, boundary_rows)
+        return cls._accumulate(dim, rows, cols, vals)
 
     @property
     def entries(self) -> list[tuple[int, int, complex]]:
@@ -111,9 +115,7 @@ class SparseOperator:
         return y.astype(np.complex128, copy=False)
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator._accumulate(
-            self.dim, self.cols, self.rows, np.conj(self.vals), self.boundary_rows
-        )
+        return SparseOperator._accumulate(self.dim, self.cols, self.rows, np.conj(self.vals))
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if self.dim != other.dim:
@@ -129,7 +131,6 @@ class SparseOperator:
             self.rows[left],
             other.cols[right],
             self.vals[left] * other.vals[right],
-            self.boundary_rows | other.boundary_rows,
         )
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
@@ -140,15 +141,13 @@ class SparseOperator:
             np.concatenate((self.rows, other.rows)),
             np.concatenate((self.cols, other.cols)),
             np.concatenate((self.vals, other.vals)),
-            self.boundary_rows | other.boundary_rows,
         )
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "SparseOperator":
-        vals = scalar * self.vals
-        return SparseOperator(self.dim, self.rows, self.cols, vals, self.boundary_rows)
+        return SparseOperator(self.dim, self.rows, self.cols, scalar * self.vals)
 
     __rmul__ = __mul__
 
@@ -196,14 +195,21 @@ _MOVES = (
 
 
 def build_generator(basis: FockBasis, name: str) -> SparseOperator:
-    """Matrix of one generator in the pattern basis.
+    """Matrix of one generator in the pattern basis, built once per basis.
 
     ``name`` is one of b1+, b1-, b2+, b2-, h1, h2.  Raising entries that
-    would cross the cutoff are dropped and the source index is recorded in
-    ``boundary_rows``; lowering and Cartan generators are always exact.
+    would cross the cutoff are dropped; lowering and Cartan generators are
+    always exact.  Later calls with the same basis return the same operator.
     """
     if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
+    built = _BUILT.setdefault(basis, {})
+    if name not in built:
+        built[name] = _assemble(basis, name)
+    return built[name]
+
+
+def _assemble(basis: FockBasis, name: str) -> SparseOperator:
     if name in ("h1", "h2"):
         w1, w2 = basis.weights()
         diagonal = np.arange(basis.size)
@@ -219,8 +225,7 @@ def build_generator(basis: FockBasis, name: str) -> SparseOperator:
         rows.append(target[source])
         cols.append(source)
         vals.append(sign * np.sqrt(root(m12, m22, m11)) * f)
-    clipped = np.flatnonzero(basis.m12 == basis.cutoff).tolist() if name.endswith("+") else ()
-    return SparseOperator._accumulate(basis.size, *map(np.concatenate, (rows, cols, vals)), clipped)
+    return SparseOperator._accumulate(basis.size, *map(np.concatenate, (rows, cols, vals)))
 
 
 def bracket(a: SparseOperator, b: SparseOperator, kind: str) -> SparseOperator:

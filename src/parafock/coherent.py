@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SparseOperator, build_generator
+from .algebra import build_generator
 from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 from .specfun import bessel_i, hyp0f1
 from .zeromodes import _validate_family, ladder_family, ladder_step
@@ -73,7 +73,7 @@ def build_coherent(
     """
     _validate_family(j, k, p)
     alpha = complex(alpha)
-    if abs(alpha) > _ALPHA_MAX:
+    if not abs(alpha) <= _ALPHA_MAX:
         raise ValueError(f"|alpha| = {abs(alpha)} outside the operating range (max {_ALPHA_MAX})")
     if nmax is not None and nmax < 4:
         raise ValueError(f"nmax must be at least 4, got {nmax}")
@@ -221,7 +221,7 @@ def b2_element(
         raise TypeError(f"jp must be an integer, got {jp!r}")
     alpha = complex(alpha)
     alpha_prime = complex(alpha_prime)
-    if abs(alpha) > _ALPHA_MAX or abs(alpha_prime) > _ALPHA_MAX:
+    if not (abs(alpha) <= _ALPHA_MAX and abs(alpha_prime) <= _ALPHA_MAX):
         raise ValueError("eigenvalue magnitude outside the operating range")
     if jp < 0 or jp > k - 1 or abs(jp - j) > 1:
         return 0.0 + 0.0j
@@ -261,7 +261,6 @@ def b2_element_oracle(
     k: int,
     alpha: complex,
     nmax: int,
-    b2_op: SparseOperator | None = None,
     bra_family: list[FockVector] | None = None,
     ket_family: list[FockVector] | None = None,
 ) -> complex:
@@ -271,12 +270,12 @@ def b2_element_oracle(
     generator matrix is applied directly.  Truncation error is bounded by
     the product of the coefficient tails, far below the closed-form
     comparison tolerances for any nmax past the decay point.  Prebuilt
-    pieces can be passed in to amortize repeated evaluations.
+    ladders can be passed in to amortize repeated evaluations.
     """
     if k < 1 or not (0 <= jp <= k - 1):
         raise ValueError(f"target family (jp, k-1) = ({jp}, {k - 1}) does not exist")
-    if b2_op is None:
-        b2_op = build_generator(basis, "b2-")
+    # fetched before the ladders, so a first build does not add to their peak memory
+    b2_op = build_generator(basis, "b2-")
     bra = build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax)
     ket = build_coherent(basis.p, j, k, alpha, nmax=nmax)
     if bra_family is None:
@@ -334,7 +333,7 @@ def bicoherent(
     if kmax < 2:
         raise ValueError(f"need kmax >= 2, got {kmax}")
     beta = complex(beta)
-    if abs(beta) > _ALPHA_MAX:
+    if not abs(beta) <= _ALPHA_MAX:
         raise ValueError(f"|beta| = {abs(beta)} outside the operating range (max {_ALPHA_MAX})")
     base = build_coherent(p, j, l, alpha)
     d = [complex(beta ** (l // 2)) if l >= 2 else complex(1.0)]

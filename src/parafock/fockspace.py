@@ -4,8 +4,7 @@ Basis states are labelled by integer patterns (m12, m22; m11) subject to the
 betweenness conditions m12 >= m11 >= m22 >= 0.  Truncation keeps every pattern
 with m12 <= cutoff, which leaves the retained set closed under the lowering
 generators; raising generators can leave the set only through the m12 = cutoff
-shell, and the operator builders in :mod:`parafock.algebra` track exactly
-which source states are clipped that way.
+shell.
 
 The basis is stored as three integer label arrays plus a dense lookup table
 from labels to indices; ``GZPattern`` objects exist only at the API boundary.
@@ -18,6 +17,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+# Envelope: at the largest cutoff the dense label grids of enumerate_basis
+# take about 200 MB, and p = 120 is twice the |nu| <= 60 Bessel order window.
+CUTOFF_MAX = 200
+P_MAX = 120.0
 
 
 def even_ind(n):
@@ -129,14 +133,15 @@ class FockBasis:
 def enumerate_basis(p: float, cutoff: int) -> FockBasis:
     """Enumerate all patterns with m12 <= cutoff for a generic parameter p > 1.
 
-    The pattern count is binomial(cutoff + 3, 3).
+    The pattern count is binomial(cutoff + 3, 3).  The envelope is
+    1 < p <= P_MAX and 0 <= cutoff <= CUTOFF_MAX.
     """
-    if not p > 1:
-        raise ValueError(f"representation parameter must satisfy p > 1, got {p}")
+    if not 1 < p <= P_MAX:
+        raise ValueError(f"representation parameter must satisfy 1 < p <= {P_MAX:g}, got {p}")
     if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
         raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+    if not 0 <= cutoff <= CUTOFF_MAX:
+        raise ValueError(f"cutoff must satisfy 0 <= cutoff <= {CUTOFF_MAX}, got {cutoff}")
     cutoff = int(cutoff)
     m12, m22, m11 = np.indices((cutoff + 1,) * 3).reshape(3, -1)
     keep = (m12 >= m11) & (m11 >= m22)

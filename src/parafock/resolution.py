@@ -94,8 +94,8 @@ class QuadratureGrid:
     moment and every diagonal entry reuses the same columns.
     """
 
-    def __init__(self, boundaries: tuple[float, ...], nodes_per_panel: int) -> None:
-        ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    def __init__(self, boundaries: tuple[float, ...]) -> None:
+        ref_x, ref_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
         xs = []
         ws = []
         for a, b in zip(boundaries[:-1], boundaries[1:]):
@@ -153,7 +153,7 @@ def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL) -> Quadrat
     x_top = _tail_cutoff(q, int(n_max), tol)
     graded = [0.0] + [2.0 ** (-_GRADING_DEPTH + i) for i in range(_GRADING_DEPTH + 1)]
     boundaries = tuple(graded + [float(b) for b in range(2, x_top + 1)])
-    return QuadratureGrid(boundaries, _NODES_PER_PANEL)
+    return QuadratureGrid(boundaries)
 
 
 def stieltjes_closed_form(kind: str, p: float, j: int, n: int) -> float:

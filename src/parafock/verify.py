@@ -108,7 +108,7 @@ def check_zero_modes(p_grid=P_GRID, jk_max: int = 10, tol: float = 1e-12) -> Che
                 worst = max(worst, b1m.apply(vec).norm())
         for j in range(jk_max + 1):
             for k in range(jk_max + 1):
-                dim, _ = kernel_oracle(basis, j, k, op=b1m)
+                dim, _ = kernel_oracle(basis, j, k)
                 if dim != (1 if j <= k else 0):
                     dims_ok = False
     dev = worst if dims_ok else math.inf
@@ -176,7 +176,7 @@ def check_b2_elements(tol: float = 1e-8) -> CheckResult:
     worst = 0.0
     count = 0
 
-    def sweep(basis, b2op, families, j, k, jp_list):
+    def sweep(basis, families, j, k, jp_list):
         nonlocal worst, count
         def family(jj, kk):
             if (jj, kk) not in families:
@@ -188,26 +188,24 @@ def check_b2_elements(tol: float = 1e-8) -> CheckResult:
                     closed = b2_element(basis.p, jp, alpha_prime, j, k, alpha)
                     oracle = b2_element_oracle(
                         basis, jp, alpha_prime, j, k, alpha, nmax,
-                        b2_op=b2op, bra_family=family(jp, k - 1), ket_family=family(j, k),
+                        bra_family=family(jp, k - 1), ket_family=family(j, k),
                     )
                     worst = max(worst, abs(closed - oracle))
                     count += 1
 
     for p in (2.5, 3.0):
         basis = enumerate_basis(p, cutoff)
-        b2op = build_generator(basis, "b2-")
         families: dict = {}
         for j in range(3):
             for k in range(max(j, 1), 5):
                 jp_list = [jp for jp in (j - 1, j, j + 1, j + 2) if 0 <= jp <= k - 1]
-                sweep(basis, b2op, families, j, k, jp_list)
+                sweep(basis, families, j, k, jp_list)
 
     basis = enumerate_basis(2.0, cutoff)
-    b2op = build_generator(basis, "b2-")
     families = {}
     for j in range(3):
         for k in range(j + 1, 5):
-            sweep(basis, b2op, families, j, k, [j])
+            sweep(basis, families, j, k, [j])
 
     detail = f"{count} elements, p in (2, 2.5, 3), j <= 2, k <= 4, incl. forced zeros"
     return _finish("b2_elements", worst, tol, detail, t0)

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .algebra import SparseOperator, build_generator
-from .fockspace import FockBasis, FockVector, even_ind, odd_ind
+from .algebra import build_generator
+from .fockspace import P_MAX, FockBasis, FockVector, even_ind, odd_ind
 
 # singular values at most this times max(1, largest) count as zero in kernel_oracle
 _RANK_TOL = 1e-10
@@ -27,8 +27,8 @@ def _validate_family(j: int, k: int, p: float) -> None:
         raise TypeError(f"j and k must be integers, got {j!r}, {k!r}")
     if not (0 <= j <= k):
         raise ValueError(f"need 0 <= j <= k, got j = {j}, k = {k}")
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
+    if not 1 < p <= P_MAX:
+        raise ValueError(f"need 1 < p <= {P_MAX:g}, got {p}")
 
 
 def zero_mode_coeffs(j: int, k: int, p: float) -> np.ndarray:
@@ -74,9 +74,7 @@ def zero_mode_vector(basis: FockBasis, j: int, k: int) -> FockVector:
     return FockVector(basis, vec)
 
 
-def kernel_oracle(
-    basis: FockBasis, j: int, k: int, op: SparseOperator | None = None
-) -> tuple[int, list[FockVector]]:
+def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVector]]:
     """Kernel of b1- restricted to the weight block (p/2 + j, p/2 + k), via SVD.
 
     Returns the kernel dimension and an orthonormal basis of the null space
@@ -89,13 +87,11 @@ def kernel_oracle(
         raise ValueError(f"need j, k >= 0, got j = {j}, k = {k}")
     if k + j > basis.cutoff:
         raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
-    if op is None:
-        op = build_generator(basis, "b1-")
     source = np.flatnonzero((basis.m11 == j) & (basis.degree == k + j))
     if not source.size:
         return 0, []
     target = np.flatnonzero((basis.m11 == j - 1) & (basis.degree == k + j - 1))
-    block = op.block(target, source).real
+    block = build_generator(basis, "b1-").block(target, source).real
     # with no target rows the SVD returns no singular values and vh = identity
     _, s, vh = np.linalg.svd(block)
     threshold = _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)

@@ -185,3 +185,61 @@ def test_from_entries_accumulates():
     assert op.column(1) == {0: 1.5}
     assert op.column(0) == {2: -1.0}
     assert op.nnz == 2
+
+
+def test_run_all_builds_each_generator_once_per_basis(monkeypatch):
+    from parafock import algebra, verify
+
+    builds = {}
+    assemble = algebra._assemble
+
+    def counting(basis, name):
+        builds[(basis, name)] = builds.get((basis, name), 0) + 1
+        return assemble(basis, name)
+
+    monkeypatch.setattr(algebra, "_assemble", counting)
+    verify.run_all()
+    assert builds and set(builds.values()) == {1}
+
+
+def test_build_generator_shares_one_operator_per_basis():
+    import gc
+    import weakref
+
+    basis = enumerate_basis(P_TEST, 4)
+    op = build_generator(basis, "b2+")
+    assert build_generator(basis, "b2+") is op
+    assert build_generator(enumerate_basis(P_TEST, 4), "b2+") is not op
+    # the cache holds no strong reference to the basis
+    ref = weakref.ref(basis)
+    del basis
+    gc.collect()
+    assert ref() is None
+
+
+def test_operator_arrays_are_read_only():
+    basis = enumerate_basis(P_TEST, 3)
+    a = build_generator(basis, "b1+")
+    b = build_generator(basis, "b2-")
+    h = build_generator(basis, "h1")
+    rows = np.array([0, 1])
+    own = SparseOperator(2, rows, np.array([0, 1]), np.array([1.0, 2.0]))
+    derived = (a, b, h, a @ b, a + b, a - b, 2.0 * a, a * 2.0, a.adjoint(), own,
+               SparseOperator.from_entries(3, [(0, 1, 1.0)]), SparseOperator.zero(3))
+    for op in derived:
+        for values in (op.rows, op.cols, op.vals):
+            with pytest.raises(ValueError):
+                values[...] = 0
+    rows[0] = 1  # the caller's array itself stays writable
+
+
+def test_operators_carry_only_their_entries():
+    import inspect
+
+    from parafock import b2_element_oracle, kernel_oracle
+
+    assert "op" not in inspect.signature(kernel_oracle).parameters
+    assert "b2_op" not in inspect.signature(b2_element_oracle).parameters
+    assert "boundary_rows" not in inspect.signature(SparseOperator).parameters
+    assert "boundary_rows" not in inspect.signature(SparseOperator.from_entries).parameters
+    assert not hasattr(build_generator(enumerate_basis(P_TEST, 2), "b1+"), "boundary_rows")

@@ -179,6 +179,11 @@ def test_usage_failures_exit_2():
         ("zeromodes", "--p", "3", "--j", "1"),
         ("coherent", "--p", "2.5", "--j", "0", "--k", "1", "--alpha", "zzz"),
         ("basis", "--p", "0.5", "--cutoff", "2"),
+        # outside the size and p envelope
+        ("zeromodes", "--p", "2.5", "--j", "0", "--k", "5000"),
+        ("basis", "--p", "2.5", "--cutoff", "100000000"),
+        ("coherent", "--p", "1e300", "--j", "0", "--k", "0", "--alpha", "1,0"),
+        ("b2-elements", "--p", "1e308", "--j", "0", "--k", "1", "--alpha", "1,0", "--alpha-prime", "1,0"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
@@ -207,3 +212,15 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "parafock" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("coherent", "--p", "2.5", "--j", "0", "--k", "0", "--alpha", "1e-160,0"),
+    ("bessel", "--kind", "i", "--nu", "3", "--x", "1e-320"),
+])
+def test_underflowing_bessel_series_finish(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    numbers = [float(v) for ln in proc.stdout.splitlines()[1:] if not ln.startswith("#")
+               for v in ln.split(",")]
+    assert numbers and all(math.isfinite(v) for v in numbers)

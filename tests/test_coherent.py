@@ -20,6 +20,7 @@ from parafock import (
     coherent_overlap,
     eigen_residual,
     enumerate_basis,
+    hyp0f1,
     ladder_family,
     t1_inverse_apply,
     to_fock_vector,
@@ -305,3 +306,46 @@ def test_bicoherent_residuals_are_relative_top_masses():
     expected_b2 = abs(1.4) * abs(d[-1]) / float(np.linalg.norm(d))
     assert state.eigen_residual_b1 == pytest.approx(expected_b1, rel=1e-14)
     assert state.eigen_residual_b2sq == pytest.approx(expected_b2, rel=1e-14)
+
+
+def test_b2_elements_builds_b1_plus_and_the_ket_ladder_once(monkeypatch, capsys):
+    from parafock import algebra, cli, coherent
+
+    builds, ladders = [], []
+    assemble, ladder = algebra._assemble, coherent.ladder_family
+
+    def counting_assemble(basis, name):
+        builds.append(name)
+        return assemble(basis, name)
+
+    def counting_ladder(basis, j, k, nmax):
+        ladders.append((j, k))
+        return ladder(basis, j, k, nmax)
+
+    monkeypatch.setattr(algebra, "_assemble", counting_assemble)
+    monkeypatch.setattr(coherent, "ladder_family", counting_ladder)
+    monkeypatch.setattr(cli, "ladder_family", counting_ladder)
+    argv = ["b2-elements", "--p", "2.5", "--j", "1", "--k", "2",
+            "--alpha", "0.7,0.2", "--alpha-prime", "0.3,-0.5", "--nmax", "57"]
+    assert cli.main(argv) == 0
+    assert "# cutoff=60" in capsys.readouterr().out.splitlines()
+    assert sorted(builds) == ["b1+", "b2-"]
+    assert sorted(ladders) == [(0, 1), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hyp0f1(1.25, complex("nan")),
+    lambda: hyp0f1(1.25, float("nan")),
+    lambda: bessel_i(float("inf"), 1.0),
+    lambda: bessel_i(1.0, float("nan")),
+    lambda: coherent_norm(2.5, 0, complex("nan")),
+    lambda: build_coherent(2.5, 0, 0, complex("nan")),
+    lambda: build_coherent(2.5, 0, 0, complex(float("inf"), 0.0)),
+    lambda: b2_element(2.5, 0, 0.5, 0, 1, complex("nan")),
+    lambda: bicoherent(2.5, 0, 1, 0.5, complex("nan"), 12),
+], ids=["hyp0f1-complex-nan", "hyp0f1-nan", "bessel_i-nu-inf", "bessel_i-x-nan",
+        "coherent_norm-nan", "build_coherent-nan", "build_coherent-inf", "b2_element-nan",
+        "bicoherent-beta-nan"])
+def test_library_rejects_non_finite_input(call):
+    with pytest.raises(ValueError):
+        call()

@@ -55,11 +55,19 @@ def test_hyp0f1_against_series_oracle():
 
 
 def test_hyp0f1_tail_bound_is_honest():
-    for a in HYP_A_GRID:
-        for x in (0.5, 5.0, 25.0):
-            first = hyp0f1(a, x)
-            refined = hyp0f1(a, x, min_terms=2 * first.terms_used)
-            assert abs(first.value - refined.value) <= first.tail_bound + 1e-17
+    # the omitted terms n >= terms_used, summed exactly at 30 digits
+    with mp.workdps(30):
+        for a in HYP_A_GRID:
+            for x in (0.5, 5.0, 25.0):
+                result = hyp0f1(a, x)
+                term = mp.mpf(1)
+                for n in range(result.terms_used):
+                    term = term * mp.mpf(x) / ((mp.mpf(a) + n) * (n + 1))
+                omitted = mp.mpf(0)
+                for n in range(result.terms_used, result.terms_used + 200):
+                    omitted += term
+                    term = term * mp.mpf(x) / ((mp.mpf(a) + n) * (n + 1))
+                assert 0 < omitted <= result.tail_bound, (a, x)
 
 
 def test_hyp0f1_complex_matches_real_axis():
@@ -83,6 +91,11 @@ def test_bessel_i_elementary_half_orders():
         minus = math.sqrt(2.0 / (math.pi * x)) * math.cosh(x)
         assert abs(bessel_i(0.5, x).value - plus) <= ELEMENTARY_TOL * plus
         assert abs(bessel_i(-0.5, x).value - minus) <= ELEMENTARY_TOL * minus
+
+
+def test_bessel_i_underflowing_leading_term_is_zero():
+    result = bessel_i(3.0, 1e-320)
+    assert (result.value, result.terms_used, result.tail_bound) == (0.0, 1, 0.0)
 
 
 def test_bessel_k_elementary_half_order():
