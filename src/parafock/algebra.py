@@ -11,7 +11,6 @@ per basis and shared, which is safe because operator arrays are read-only.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -23,22 +22,19 @@ GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
 _BRACKET_KINDS = ("commutator", "anticommutator")
 
-# basis -> {generator name: operator}; an entry dies with its basis
-_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def structure_f(m12, m22, p: float):
     """Structure coefficients (f1, f2) at pattern row (m12, m22); scalars or arrays.
 
-    f1 carries the sign (-1)**m22; both are real for p > 1.  The parity
+    f1 carries the sign (-1)**m22; both are real for 1 < p < inf.  The parity
     indicators switch the p dependence on and off between adjacent rows.
     """
     m12 = np.asarray(m12)
     m22 = np.asarray(m22)
     if np.any(m12 < m22) or np.any(m22 < 0):
         raise ValueError(f"need m12 >= m22 >= 0, got ({m12}, {m22})")
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
+    if not 1 < p < np.inf:
+        raise ValueError(f"need 1 < p < inf, got {p}")
     sign = np.where(m22 % 2, -1.0, 1.0)
     f1 = sign * np.sqrt((m12 + 2 + even_ind(m12) * (p - 2)) / (m12 - m22 + 1 + odd_ind(m12 - m22)))
     f2 = np.sqrt((m22 + 1 + even_ind(m22) * (p - 2)) / (m12 - m22 + 1 - odd_ind(m12 - m22)))
@@ -53,6 +49,11 @@ def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         out.imag = np.bincount(index, values.imag, n)
         return out
     return np.bincount(index, values, n)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges starts[i] .. starts[i] + counts[i] - 1."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 class SparseOperator:
@@ -114,6 +115,21 @@ class SparseOperator:
         y = _sum_by(self.rows, self.vals * x[self.cols], self.dim)
         return y.astype(np.complex128, copy=False)
 
+    def apply_on(self, support, x) -> tuple[np.ndarray, np.ndarray]:
+        """Product with the vector that is ``x`` on the sorted indices ``support``, 0 elsewhere.
+
+        Gathers only those columns' entries and adds each row's terms in the
+        order ``apply`` does, so the values match it bit for bit.  Returns the
+        sorted rows the entries reach and their values.
+        """
+        support = np.asarray(support, dtype=np.intp)
+        first = np.searchsorted(self.cols, support)
+        count = np.searchsorted(self.cols, support, side="right") - first
+        entry = _ranges(first, count)
+        rows, where = np.unique(self.rows[entry], return_inverse=True)
+        terms = self.vals[entry] * np.repeat(x, count)
+        return rows, _sum_by(where, terms, len(rows)).astype(np.complex128, copy=False)
+
     def adjoint(self) -> "SparseOperator":
         return SparseOperator._accumulate(self.dim, self.cols, self.rows, np.conj(self.vals))
 
@@ -125,7 +141,7 @@ class SparseOperator:
         count = starts[other.rows + 1] - first
         # pair every right entry (k, col) with each left entry of column k
         right = np.repeat(np.arange(other.nnz), count)
-        left = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        left = _ranges(first, count)
         return SparseOperator._accumulate(
             self.dim,
             self.rows[left],
@@ -199,14 +215,13 @@ def build_generator(basis: FockBasis, name: str) -> SparseOperator:
 
     ``name`` is one of b1+, b1-, b2+, b2-, h1, h2.  Raising entries that
     would cross the cutoff are dropped; lowering and Cartan generators are
-    always exact.  Later calls with the same basis return the same operator.
+    always exact.  Later calls return the operator kept in ``basis.cache``.
     """
     if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
-    built = _BUILT.setdefault(basis, {})
-    if name not in built:
-        built[name] = _assemble(basis, name)
-    return built[name]
+    if name not in basis.cache:
+        basis.cache[name] = _assemble(basis, name)
+    return basis.cache[name]
 
 
 def _assemble(basis: FockBasis, name: str) -> SparseOperator:

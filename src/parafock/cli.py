@@ -48,7 +48,7 @@ from .verify import (
     check_triple_relations,
     check_zero_modes,
 )
-from .zeromodes import kernel_oracle, ladder_family, zero_mode_coeffs, zero_mode_vector
+from .zeromodes import kernel_oracle, zero_mode_coeffs, zero_mode_vector
 
 _FORMATS = ("csv", "json")
 _EXIT_OK = 0
@@ -290,21 +290,14 @@ def _cmd_b2_elements(args: argparse.Namespace) -> tuple[Table, int]:
     _require(args.k >= 1, f"need k >= 1 so the target family at k - 1 exists, got k = {args.k}")
     _require(args.j <= args.k, f"need j <= k, got (j, k) = ({args.j}, {args.k})")
     cutoff = args.j + args.k + args.nmax
-    _require(
-        cutoff <= 60,
-        f"j + k + nmax = {cutoff} exceeds the supported cutoff of 60",
-    )
     basis = enumerate_basis(args.p, cutoff)
-    ket_family = ladder_family(basis, args.j, args.k, args.nmax)
     rows = []
     worst = 0.0
     for jp in (args.j - 1, args.j, args.j + 1):
         if jp < 0 or jp > args.k - 1:
             continue
         closed = b2_element(args.p, jp, args.alpha_prime, args.j, args.k, args.alpha)
-        oracle = b2_element_oracle(
-            basis, jp, args.alpha_prime, args.j, args.k, args.alpha, args.nmax, ket_family=ket_family
-        )
+        oracle = b2_element_oracle(basis, jp, args.alpha_prime, args.j, args.k, args.alpha, args.nmax)
         deviation = abs(closed - oracle)
         worst = max(worst, deviation)
         rows.append([jp, closed.real, closed.imag, oracle.real, oracle.imag, deviation])

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import build_generator
 from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 from .specfun import bessel_i, hyp0f1
-from .zeromodes import _validate_family, ladder_family, ladder_step
+from .zeromodes import _validate_family, ladder_rungs, ladder_step
 
 _ALPHA_MAX = 5.0
 _NMAX_CAP = 200
@@ -191,17 +191,17 @@ def eigen_residual(s: CoherentState) -> tuple[float, float]:
     return math.sqrt(resid_sq), abs(alpha) * abs(a[-1])
 
 
-def _ladder_sum(coeffs: np.ndarray, family: list[FockVector]) -> np.ndarray:
-    """Sum of coeffs[n] times rung n, added rung by rung."""
-    acc = np.zeros(family[0].basis.size, dtype=np.complex128)
-    for c, rung in zip(coeffs, family):
-        acc += c * rung.coefficients
+def _ladder_sum(basis: FockBasis, coeffs: np.ndarray, rungs) -> np.ndarray:
+    """Sum of coeffs[n] times rung n on the whole basis, added rung by rung."""
+    acc = np.zeros(basis.size, dtype=np.complex128)
+    for c, (index, values) in zip(coeffs, rungs):
+        acc[index] += c * values
     return acc
 
 
 def to_fock_vector(basis: FockBasis, s: CoherentState) -> FockVector:
     """Assemble the state on a pattern basis; needs cutoff >= k + j + nmax."""
-    return FockVector(basis, _ladder_sum(s.coeffs, ladder_family(basis, s.j, s.k, s.nmax)))
+    return FockVector(basis, _ladder_sum(basis, s.coeffs, ladder_rungs(basis, s.j, s.k, s.nmax)))
 
 
 def b2_element(
@@ -254,37 +254,20 @@ def b2_element(
 
 
 def b2_element_oracle(
-    basis: FockBasis,
-    jp: int,
-    alpha_prime: complex,
-    j: int,
-    k: int,
-    alpha: complex,
-    nmax: int,
-    bra_family: list[FockVector] | None = None,
-    ket_family: list[FockVector] | None = None,
+    basis: FockBasis, jp: int, alpha_prime: complex, j: int, k: int, alpha: complex, nmax: int
 ) -> complex:
     """Matrix-engine value of the b2- element, independent of the closed forms.
 
     Both states are assembled rung by rung on the pattern basis and the
     generator matrix is applied directly.  Truncation error is bounded by
     the product of the coefficient tails, far below the closed-form
-    comparison tolerances for any nmax past the decay point.  Prebuilt
-    ladders can be passed in to amortize repeated evaluations.
+    comparison tolerances for any nmax past the decay point.
     """
     if k < 1 or not (0 <= jp <= k - 1):
         raise ValueError(f"target family (jp, k-1) = ({jp}, {k - 1}) does not exist")
-    # fetched before the ladders, so a first build does not add to their peak memory
-    b2_op = build_generator(basis, "b2-")
-    bra = build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax)
-    ket = build_coherent(basis.p, j, k, alpha, nmax=nmax)
-    if bra_family is None:
-        bra_family = ladder_family(basis, jp, k - 1, nmax)
-    if ket_family is None:
-        ket_family = ladder_family(basis, j, k, nmax)
-    vb = _ladder_sum(bra.coeffs, bra_family)
-    vk = _ladder_sum(ket.coeffs, ket_family)
-    return complex(np.vdot(vb, b2_op.apply(vk)))
+    bra = to_fock_vector(basis, build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax))
+    ket = to_fock_vector(basis, build_coherent(basis.p, j, k, alpha, nmax=nmax))
+    return bra.inner(build_generator(basis, "b2-").apply(ket))
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,7 +85,8 @@ class FockBasis:
     ``lookup[m12, m22, m11]`` is the index of a pattern, or -1 outside the
     basis.  Each axis has one slot past the cutoff, which also holds -1, and
     negative indexing sends label -1 to that same slot, so labels shifted by
-    one in either direction need no range check.
+    one in either direction need no range check.  ``cache`` keeps the
+    generators and ladders built on the basis; they are freed with it.
     """
 
     p: float
@@ -94,6 +95,7 @@ class FockBasis:
     m22: np.ndarray
     m11: np.ndarray
     lookup: np.ndarray = field(repr=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self) -> int:

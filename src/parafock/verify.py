@@ -41,7 +41,7 @@ from .specfun import bessel_i, bessel_k, bessel_k_oracle
 from .zeromodes import (
     b2sq_shift,
     kernel_oracle,
-    ladder_family,
+    ladder_rungs,
     zero_mode_coeffs,
     zero_mode_vector,
 )
@@ -176,36 +176,27 @@ def check_b2_elements(tol: float = 1e-8) -> CheckResult:
     worst = 0.0
     count = 0
 
-    def sweep(basis, families, j, k, jp_list):
+    def sweep(basis, j, k, jp_list):
         nonlocal worst, count
-        def family(jj, kk):
-            if (jj, kk) not in families:
-                families[(jj, kk)] = ladder_family(basis, jj, kk, nmax)
-            return families[(jj, kk)]
         for jp in jp_list:
             for alpha in alphas:
                 for alpha_prime in alphas:
                     closed = b2_element(basis.p, jp, alpha_prime, j, k, alpha)
-                    oracle = b2_element_oracle(
-                        basis, jp, alpha_prime, j, k, alpha, nmax,
-                        bra_family=family(jp, k - 1), ket_family=family(j, k),
-                    )
+                    oracle = b2_element_oracle(basis, jp, alpha_prime, j, k, alpha, nmax)
                     worst = max(worst, abs(closed - oracle))
                     count += 1
 
     for p in (2.5, 3.0):
         basis = enumerate_basis(p, cutoff)
-        families: dict = {}
         for j in range(3):
             for k in range(max(j, 1), 5):
                 jp_list = [jp for jp in (j - 1, j, j + 1, j + 2) if 0 <= jp <= k - 1]
-                sweep(basis, families, j, k, jp_list)
+                sweep(basis, j, k, jp_list)
 
     basis = enumerate_basis(2.0, cutoff)
-    families = {}
     for j in range(3):
         for k in range(j + 1, 5):
-            sweep(basis, families, j, k, [j])
+            sweep(basis, j, k, [j])
 
     detail = f"{count} elements, p in (2, 2.5, 3), j <= 2, k <= 4, incl. forced zeros"
     return _finish("b2_elements", worst, tol, detail, t0)
@@ -274,7 +265,7 @@ def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
     b2m = build_generator(basis, "b2-")
     # the components live in disjoint weight spaces, so summing them adds no rounding
     psi = FockVector(basis, sum(
-        _ladder_sum(state.prefactors[kk] * base.coeffs, ladder_family(basis, j, 2 * kk + l, nmax))
+        _ladder_sum(basis, state.prefactors[kk] * base.coeffs, ladder_rungs(basis, j, 2 * kk + l, nmax))
         for kk in range(kmax + 1)
     ))
     psi_norm = psi.norm()

@@ -65,12 +65,12 @@ def zero_mode_coeffs(j: int, k: int, p: float) -> np.ndarray:
 
 def zero_mode_vector(basis: FockBasis, j: int, k: int) -> FockVector:
     """The zero mode as a vector on ``basis``; needs cutoff >= k + j."""
-    _validate_family(j, k, basis.p)
-    if k + j > basis.cutoff:
-        raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
-    i = np.arange(j + 1)
+    return _scatter(basis, *ladder_rungs(basis, j, k, 0)[0])
+
+
+def _scatter(basis: FockBasis, index: np.ndarray, values: np.ndarray) -> FockVector:
     vec = np.zeros(basis.size, dtype=np.complex128)
-    vec[basis.lookup[k + i, j - i, j]] = zero_mode_coeffs(j, k, basis.p)
+    vec[index] = values
     return FockVector(basis, vec)
 
 
@@ -141,20 +141,35 @@ def ladder_family(basis: FockBasis, j: int, k: int, nmax: int) -> list[FockVecto
     Exactness of every rung needs k + j + nmax <= cutoff, since each raising
     step can push m12 up by one from its maximum k + j on the zero mode.
     """
+    return [_scatter(basis, *rung) for rung in ladder_rungs(basis, j, k, nmax)]
+
+
+def ladder_rungs(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
+    """Rungs 0..nmax of ``ladder_family`` as (sorted indices, read-only values) pairs.
+
+    Each ladder is walked once per basis and kept in ``basis.cache``, so a
+    later call returns the same objects.
+    """
     _validate_family(j, k, basis.p)
-    if nmax < 0:
-        raise ValueError(f"need nmax >= 0, got {nmax}")
-    if k + j + nmax > basis.cutoff:
-        raise ValueError(
-            f"cutoff {basis.cutoff} too small: rung {nmax} above (j, k) = ({j}, {k}) "
-            f"needs cutoff >= {k + j + nmax}"
-        )
-    raise_op = build_generator(basis, "b1+")
-    states = [zero_mode_vector(basis, j, k)]
+    if not 0 <= nmax <= basis.cutoff - k - j:
+        raise ValueError(f"need 0 <= nmax <= cutoff - k - j = {basis.cutoff - k - j}, got {nmax}")
+    key = ("ladder", j, k, nmax)
+    if key not in basis.cache:
+        basis.cache[key] = _climb(basis, j, k, nmax)
+    return basis.cache[key]
+
+
+def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
+    # later supports are the rows b1+'s own entries reach, not a weight formula
+    i = np.arange(j + 1)
+    rungs = [(basis.lookup[k + i, j - i, j], zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
+    raise_op = build_generator(basis, "b1+") if nmax else None
     for n in range(nmax):
-        nxt = raise_op.apply(states[-1].coefficients) / ladder_step(basis.p, j, n)
-        states.append(FockVector(basis, nxt))
-    return states
+        index, values = raise_op.apply_on(*rungs[-1])
+        rungs.append((index, values / ladder_step(basis.p, j, n)))
+    for index, values in rungs:
+        index.flags.writeable = values.flags.writeable = False
+    return tuple(rungs)
 
 
 def b2sq_shift(j: int, k: int, p: float, direction: str) -> float:

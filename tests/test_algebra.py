@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock import (
+    GENERATOR_NAMES,
     FockVector,
     GZPattern,
     SparseOperator,
@@ -43,6 +46,12 @@ def test_structure_f_rejects_bad_rows():
         structure_f(2, -1, 3.0)
     with pytest.raises(ValueError):
         structure_f(0, 0, 1.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_structure_f_needs_finite_p(p):
+    with pytest.raises(ValueError):
+        structure_f(0, 0, p)
 
 
 def test_b1_plus_vacuum_column():
@@ -188,33 +197,60 @@ def test_from_entries_accumulates():
 
 
 def test_run_all_builds_each_generator_once_per_basis(monkeypatch):
-    from parafock import algebra, verify
+    from parafock import algebra, verify, zeromodes
 
-    builds = {}
-    assemble = algebra._assemble
+    builds, walks = {}, {}
+    assemble, climb = algebra._assemble, zeromodes._climb
 
     def counting(basis, name):
         builds[(basis, name)] = builds.get((basis, name), 0) + 1
         return assemble(basis, name)
 
+    def counting_climb(basis, j, k, nmax):
+        walks[(basis, j, k, nmax)] = walks.get((basis, j, k, nmax), 0) + 1
+        return climb(basis, j, k, nmax)
+
     monkeypatch.setattr(algebra, "_assemble", counting)
+    monkeypatch.setattr(zeromodes, "_climb", counting_climb)
     verify.run_all()
     assert builds and set(builds.values()) == {1}
+    assert walks and set(walks.values()) == {1}
 
 
 def test_build_generator_shares_one_operator_per_basis():
     import gc
     import weakref
 
+    from parafock.zeromodes import ladder_rungs
+
     basis = enumerate_basis(P_TEST, 4)
     op = build_generator(basis, "b2+")
     assert build_generator(basis, "b2+") is op
     assert build_generator(enumerate_basis(P_TEST, 4), "b2+") is not op
-    # the cache holds no strong reference to the basis
-    ref = weakref.ref(basis)
-    del basis
+    rungs = ladder_rungs(basis, 0, 1, 3)
+    # the basis holds its generators and rungs; nothing else holds the basis
+    refs = [weakref.ref(basis), weakref.ref(rungs[-1][1])]
+    del basis, rungs
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(GENERATOR_NAMES), cutoff=st.integers(0, 6), data=st.data())
+def test_apply_on_matches_apply_bit_for_bit(name, cutoff, data):
+    basis = enumerate_basis(P_TEST, cutoff)
+    op = build_generator(basis, name)
+    support = np.array(sorted(data.draw(st.sets(st.integers(0, basis.size - 1)))), dtype=np.intp)
+    parts = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    x = np.array(data.draw(st.lists(parts, min_size=support.size, max_size=support.size)),
+                 dtype=np.complex128)
+    full = np.zeros(basis.size, dtype=np.complex128)
+    full[support] = x
+    expected = op.apply(full)
+    rows, values = op.apply_on(support, x)
+    assert np.array_equal(rows, np.unique(rows))
+    assert values.tobytes() == expected[rows].tobytes()
+    assert not np.delete(expected, rows).any()
 
 
 def test_operator_arrays_are_read_only():
@@ -239,7 +275,8 @@ def test_operators_carry_only_their_entries():
     from parafock import b2_element_oracle, kernel_oracle
 
     assert "op" not in inspect.signature(kernel_oracle).parameters
-    assert "b2_op" not in inspect.signature(b2_element_oracle).parameters
+    oracle_parameters = inspect.signature(b2_element_oracle).parameters
+    assert not {"b2_op", "bra_family", "ket_family"} & set(oracle_parameters)
     assert "boundary_rows" not in inspect.signature(SparseOperator).parameters
     assert "boundary_rows" not in inspect.signature(SparseOperator.from_entries).parameters
     assert not hasattr(build_generator(enumerate_basis(P_TEST, 2), "b1+"), "boundary_rows")

@@ -123,6 +123,24 @@ def test_b2_elements_deviations_are_tiny():
         assert abs_dev <= 1e-10
 
 
+@pytest.mark.parametrize("nmax, code", [("97", 0), ("198", 2)])
+def test_b2_elements_runs_up_to_the_basis_envelope(nmax, code):
+    # j + k + nmax is the basis cutoff: 100 runs, 201 is past the cutoff-200 envelope
+    proc = run_cli(
+        "b2-elements", "--p", "2.5", "--j", "1", "--k", "2", "--nmax", nmax,
+        "--alpha", "0.7,0.2", "--alpha-prime", "0.3,-0.5",
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parafock: error:")
+    else:
+        assert "# cutoff=100" in proc.stdout.splitlines()
+        summary = dict(ln[2:].split("=") for ln in proc.stdout.splitlines() if ln.startswith("# "))
+        assert float(summary["max_abs_dev"]) <= 1e-8
+
+
 def test_bicoherent_reports_the_residual_quantities():
     proc = run_cli(
         "bicoherent", "--p", "2.5", "--j", "0", "--l", "1",

@@ -5,9 +5,14 @@ the test instead of printing a traceback.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock import cli
 
@@ -146,3 +151,69 @@ def test_non_finite_values_are_usage_errors(capsys, command):
 ])
 def test_lower_bounds_keep_their_inclusiveness(capsys, command, code):
     assert run(capsys, command)[0] == code
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value, or in a CSV field that parses as one."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    if isinstance(value, bool):
+        return []
+    if isinstance(value, (int, float)):
+        return [value]
+    try:
+        return [float(value)]
+    except (TypeError, ValueError):
+        return []
+
+
+_BAD = {
+    "p": ["nan", "inf", "-inf", "-1", "1", "120.5", "1e308", "x"],
+    "j": ["-1", "1000000", "nan", "inf", "1.5"],
+    "k": ["-1", "1000000", "nan", "inf", "1.5"],
+    "nmax": ["-1", "3", "1000000", "nan", "inf", "1.5"],
+    "alpha": ["nan,0", "0,inf", "-inf,1", "6,0", "1e308,1e308", "1", "x,y"],
+    "alpha-prime": ["nan,0", "0,inf", "-inf,1", "6,0", "1e308,1e308", "1", "x,y"],
+}
+
+
+@st.composite
+def _b2_argv(draw):
+    """b2-elements flags with up to two of them non-finite or out of range.
+
+    j > k and k = 0 are in range for the parser and rejected by the handler;
+    every run that reaches the engine has j + k + nmax <= 80.
+    """
+    k, j = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    complex_value = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(lambda z: f"{z[0]!r},{z[1]!r}")
+    values = {
+        "p": repr(draw(st.floats(1.0, 8.0, exclude_min=True))),
+        "j": str(j),
+        "k": str(k),
+        "nmax": str(draw(st.integers(4, 80 - j - k))),
+        "alpha": draw(complex_value),
+        "alpha-prime": draw(complex_value),
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(_BAD)), max_size=2)):
+        values[name] = draw(st.sampled_from(_BAD[name]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    # --flag=value keeps argparse from reading a negative value as a flag
+    return ["b2-elements", *(f"--{name}={v}" for name, v in values.items()), f"--format={fmt}"]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(argv=_b2_argv())
+def test_b2_elements_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if argv[-1] == "--format=json" and code == 0:
+        values = _numbers(json.loads(text))
+    else:
+        values = _numbers([f for ln in text.splitlines() for f in ln.lstrip("# ").replace("=", ",").split(",")])
+    assert all(math.isfinite(x) for x in values), (argv, text)

@@ -309,28 +309,28 @@ def test_bicoherent_residuals_are_relative_top_masses():
 
 
 def test_b2_elements_builds_b1_plus_and_the_ket_ladder_once(monkeypatch, capsys):
-    from parafock import algebra, cli, coherent
+    from parafock import algebra, cli, zeromodes
 
-    builds, ladders = [], []
-    assemble, ladder = algebra._assemble, coherent.ladder_family
+    builds, walks = [], []
+    assemble, climb = algebra._assemble, zeromodes._climb
 
     def counting_assemble(basis, name):
         builds.append(name)
         return assemble(basis, name)
 
-    def counting_ladder(basis, j, k, nmax):
-        ladders.append((j, k))
-        return ladder(basis, j, k, nmax)
+    def counting_climb(basis, j, k, nmax):
+        walks.append((j, k, nmax))
+        return climb(basis, j, k, nmax)
 
     monkeypatch.setattr(algebra, "_assemble", counting_assemble)
-    monkeypatch.setattr(coherent, "ladder_family", counting_ladder)
-    monkeypatch.setattr(cli, "ladder_family", counting_ladder)
+    monkeypatch.setattr(zeromodes, "_climb", counting_climb)
     argv = ["b2-elements", "--p", "2.5", "--j", "1", "--k", "2",
             "--alpha", "0.7,0.2", "--alpha-prime", "0.3,-0.5", "--nmax", "57"]
     assert cli.main(argv) == 0
     assert "# cutoff=60" in capsys.readouterr().out.splitlines()
     assert sorted(builds) == ["b1+", "b2-"]
-    assert sorted(ladders) == [(0, 1), (1, 1), (1, 2)]
+    # the ket ladder serves all three jp; each bra ladder is walked once
+    assert sorted(walks) == [(0, 1, 57), (1, 1, 57), (1, 2, 57)]
 
 
 @pytest.mark.parametrize("call", [

@@ -166,6 +166,26 @@ def test_ladder_family_rejects_small_cutoff():
         ladder_family(basis, 1, 2, 3)
 
 
+def test_ladder_rungs_are_read_only_sparse_and_built_once():
+    from parafock.zeromodes import ladder_rungs
+
+    p, j, k, nmax = 2.5, 1, 3, 8
+    basis = enumerate_basis(p, j + k + nmax)
+    rungs = ladder_rungs(basis, j, k, nmax)
+    assert ladder_rungs(basis, j, k, nmax) is rungs
+    w1, w2 = basis.weights()
+    for n, ((index, values), state) in enumerate(zip(rungs, ladder_family(basis, j, k, nmax))):
+        for arr in (index, values):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # rung n lies in the single weight space (p/2 + j + n, p/2 + k)
+        assert index.size <= k + 1
+        assert np.array_equal(index, np.unique(index))
+        assert np.all(w1[index] == p / 2 + j + n) and np.all(w2[index] == p / 2 + k)
+        assert not np.delete(state.coefficients, index).any()
+        assert np.array_equal(state.coefficients[index], values)
+
+
 def test_b2sq_shift_values():
     for p in P_GRID:
         assert b2sq_shift(0, 2, p, "lower") == pytest.approx(math.sqrt(2.0 * p), rel=1e-14)
