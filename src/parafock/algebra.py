@@ -4,7 +4,7 @@ The four odd generators act on a Gelfand-Zetlin pattern by moving one of
 m12, m22 up or down by one while m11 follows the mode index; every matrix
 element is a square root of an integer times one of two structure
 coefficients.  Each generator is built in one vectorized pass over the
-basis arrays: a move whose target pattern is absent from the lookup table
+basis arrays: a move whose target is outside the basis (``find`` gives -1)
 is skipped, so the builders never store zeros.  Each generator is built once
 per basis and shared, which is safe because operator arrays are read-only.
 """
@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .fockspace import FockBasis, FockVector, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, _ranges, even_ind, odd_ind
 
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
@@ -49,11 +49,6 @@ def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         out.imag = np.bincount(index, values.imag, n)
         return out
     return np.bincount(index, values, n)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of the index ranges starts[i] .. starts[i] + counts[i] - 1."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 class SparseOperator:
@@ -233,14 +228,17 @@ def _assemble(basis: FockBasis, name: str) -> SparseOperator:
     for gen, (d12, d22, d11), which, sign, root in _MOVES:
         if gen != name:
             continue
-        target = basis.lookup[basis.m12 + d12, basis.m22 + d22, basis.m11 + d11]
+        target = basis.find(basis.m12 + d12, basis.m22 + d22, basis.m11 + d11)
         source = np.flatnonzero(target >= 0)
         m12, m22, m11 = basis.m12[source], basis.m22[source], basis.m11[source]
         f = structure_f(m12 + min(d12, 0), m22 + min(d22, 0), basis.p)[which]
         rows.append(target[source])
         cols.append(source)
         vals.append(sign * np.sqrt(root(m12, m22, m11)) * f)
-    return SparseOperator._accumulate(basis.size, *map(np.concatenate, (rows, cols, vals)))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    # one nonzero term per (row, col), so only a sort is left: it merges two sorted runs
+    order = np.argsort(cols * basis.size + rows, kind="stable")
+    return SparseOperator(basis.size, rows[order], cols[order], vals[order])
 
 
 def bracket(a: SparseOperator, b: SparseOperator, kind: str) -> SparseOperator:

@@ -86,7 +86,7 @@ _FLAGS: dict[str, tuple[dict, tuple[str, float] | None]] = {
     "k": ({"type": int, "required": True}, (">=", 0)),
     "l": ({"type": int, "required": True, "help": "branch label, l in {j, j+1}"}, (">=", 0)),
     "nmax": ({"type": int}, (">=", 1)),
-    "kmax": ({"type": int, "default": 12, "help": "component cutoff, kmax >= 2"}, None),
+    "kmax": ({"type": int, "default": 12, "help": "component cutoff, 2 <= kmax <= 200"}, None),
     "ncheck": ({"type": int, "default": 10, "help": "highest rung checked, ncheck <= 16"}, (">=", 0)),
     "mode": ({"choices": ("offdiag", "cat"), "default": "offdiag"}, None),
     "kind": ({"required": True}, None),
@@ -433,7 +433,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], tuple[Table, int]],
     }),
     "coherent": (_cmd_coherent, "ladder coefficients of an eigenstate or cat state", {
         "p": {}, "j": {}, "k": {}, "alpha": {},
-        "nmax": {"help": "rung cutoff (default: automatic)"},
+        "nmax": {"help": "rung cutoff, 4 <= nmax <= 200 (default: automatic)"},
         "normalized": {}, "cat": {},
     }),
     "b2-elements": (_cmd_b2_elements, "closed-form b2- matrix elements vs the matrix engine", {

@@ -67,16 +67,16 @@ def build_coherent(
 
     With ``nmax=None`` the rung count is chosen as the smallest even index
     whose coefficient has decayed below 1e-16 of the running peak, capped at
-    200.  An explicit ``nmax`` must be at least 4 and large enough to reach
-    the decaying regime, otherwise the truncation is not meaningful and a
-    TruncationError is raised.
+    200.  An explicit ``nmax`` must lie in 4 .. 200 and be large enough to
+    reach the decaying regime, otherwise the truncation is not meaningful and
+    a TruncationError is raised.
     """
     _validate_family(j, k, p)
     alpha = complex(alpha)
     if not abs(alpha) <= _ALPHA_MAX:
         raise ValueError(f"|alpha| = {abs(alpha)} outside the operating range (max {_ALPHA_MAX})")
-    if nmax is not None and nmax < 4:
-        raise ValueError(f"nmax must be at least 4, got {nmax}")
+    if nmax is not None and not 4 <= nmax <= _NMAX_CAP:
+        raise ValueError(f"nmax must satisfy 4 <= nmax <= {_NMAX_CAP}, got {nmax}")
 
     coeffs = [complex(1.0)]
     peak = 1.0
@@ -118,7 +118,8 @@ def coherent_norm(p: float, j: int, alpha: complex) -> float:
     """Squared norm of the unnormalized eigenstate, Bessel closed form.
 
     Equals (x/2)^(1-nu) Gamma(nu) (I_(nu-1)(x) + I_nu(x)) at x = |alpha|^2,
-    nu = p/2 + j; the x -> 0 limit is 1.
+    nu = p/2 + j; the x -> 0 limit is 1.  Where the power overflows (and
+    I_(nu-1)(x) underflows) the value is that of ``coherent_norm_series``.
     """
     _validate_family(j, j, p)
     x = abs(complex(alpha)) ** 2
@@ -126,16 +127,22 @@ def coherent_norm(p: float, j: int, alpha: complex) -> float:
         return 1.0
     nu = p / 2.0 + j
     isum = bessel_i(nu - 1.0, x).value + bessel_i(nu, x).value
-    return math.exp((1.0 - nu) * math.log(x / 2.0) + math.lgamma(nu)) * isum
+    try:
+        return math.exp((1.0 - nu) * math.log(x / 2.0) + math.lgamma(nu)) * isum
+    except OverflowError:
+        return _norm_series(nu, x)
+
+
+def _norm_series(nu: float, z):
+    """0F1(; nu; (z/2)^2) + z/(2 nu) 0F1(; nu + 1; (z/2)^2), real or complex z."""
+    arg = (z / 2.0) ** 2
+    return hyp0f1(nu, arg).value + z / (2.0 * nu) * hyp0f1(nu + 1.0, arg).value
 
 
 def coherent_norm_series(p: float, j: int, alpha: complex) -> float:
     """Squared norm of the unnormalized eigenstate, hypergeometric route."""
     _validate_family(j, j, p)
-    x = abs(complex(alpha)) ** 2
-    nu = p / 2.0 + j
-    arg = (x / 2.0) ** 2
-    return hyp0f1(nu, arg).value + (x / (2.0 * nu)) * hyp0f1(nu + 1.0, arg).value
+    return _norm_series(p / 2.0 + j, abs(complex(alpha)) ** 2)
 
 
 def coherent_overlap(p: float, j: int, alpha_prime: complex, alpha: complex) -> complex:
@@ -147,12 +154,8 @@ def coherent_overlap(p: float, j: int, alpha_prime: complex, alpha: complex) -> 
     (I_(nu-1) - I_nu) / (I_(nu-1) + I_nu) at x = |alpha|^2.
     """
     _validate_family(j, j, p)
-    z = np.conjugate(complex(alpha_prime)) * complex(alpha)
-    nu = p / 2.0 + j
-    arg = (z / 2.0) ** 2
-    numerator = hyp0f1(nu, arg).value + z / (2.0 * nu) * hyp0f1(nu + 1.0, arg).value
-    denom = math.sqrt(coherent_norm(p, j, alpha_prime) * coherent_norm(p, j, alpha))
-    return complex(numerator / denom)
+    numerator = _norm_series(p / 2.0 + j, np.conjugate(complex(alpha_prime)) * complex(alpha))
+    return complex(numerator / math.sqrt(coherent_norm(p, j, alpha_prime) * coherent_norm(p, j, alpha)))
 
 
 def cat_state(s: CoherentState, sign: str) -> CoherentState:
@@ -313,8 +316,8 @@ def bicoherent(
     _validate_family(j, j, p)
     if l not in (j, j + 1):
         raise ValueError(f"need l in {{j, j + 1}} = {{{j}, {j + 1}}}, got l = {l}")
-    if kmax < 2:
-        raise ValueError(f"need kmax >= 2, got {kmax}")
+    if not 2 <= kmax <= _NMAX_CAP:
+        raise ValueError(f"need 2 <= kmax <= {_NMAX_CAP}, got {kmax}")
     beta = complex(beta)
     if not abs(beta) <= _ALPHA_MAX:
         raise ValueError(f"|beta| = {abs(beta)} outside the operating range (max {_ALPHA_MAX})")

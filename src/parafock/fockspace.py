@@ -6,8 +6,8 @@ with m12 <= cutoff, which leaves the retained set closed under the lowering
 generators; raising generators can leave the set only through the m12 = cutoff
 shell.
 
-The basis is stored as three integer label arrays plus a dense lookup table
-from labels to indices; ``GZPattern`` objects exist only at the API boundary.
+The basis is three integer label arrays plus a row-start table that only
+``FockBasis.find`` reads; ``GZPattern`` objects exist only at the API boundary.
 """
 
 from __future__ import annotations
@@ -18,10 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Envelope: at the largest cutoff the dense label grids of enumerate_basis
-# take about 200 MB, and p = 120 is twice the |nu| <= 60 Bessel order window.
+# Envelope: a cutoff-200 run peaks near 400 MB; p = 120 is twice the |nu| <= 60 Bessel window.
 CUTOFF_MAX = 200
 P_MAX = 120.0
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges starts[i] .. starts[i] + counts[i] - 1."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def even_ind(n):
@@ -78,15 +82,13 @@ def weight_of(m: GZPattern, p: float) -> Weight:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Label arrays m12, m22, m11 with p, the cutoff, and the index lookup table.
+    """Label arrays m12, m22, m11 with p, the cutoff, and the row-start table.
 
     Ordering is ascending in (degree, m12, m11), so index 0 is the vacuum
-    pattern (0, 0; 0) and all states of equal degree are contiguous.
-    ``lookup[m12, m22, m11]`` is the index of a pattern, or -1 outside the
-    basis.  Each axis has one slot past the cutoff, which also holds -1, and
-    negative indexing sends label -1 to that same slot, so labels shifted by
-    one in either direction need no range check.  ``cache`` keeps the
-    generators and ladders built on the basis; they are freed with it.
+    pattern (0, 0; 0) and all states of equal degree are contiguous.  Row
+    (m12, m22) holds m11 = m22 .. m12 at indices from ``row_start[m12, m22]``,
+    which only ``find`` reads.  ``cache`` keeps the generators and ladders
+    built on the basis; they are freed with it.
     """
 
     p: float
@@ -94,7 +96,7 @@ class FockBasis:
     m12: np.ndarray
     m22: np.ndarray
     m11: np.ndarray
-    lookup: np.ndarray = field(repr=False)
+    row_start: np.ndarray = field(repr=False)
     cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -113,10 +115,11 @@ class FockBasis:
             for labels in zip(self.m12.tolist(), self.m22.tolist(), self.m11.tolist())
         )
 
-    @cached_property
-    def index(self) -> dict[GZPattern, int]:
-        """Pattern to index map, built on first use."""
-        return {m: i for i, m in enumerate(self.patterns)}
+    def find(self, m12, m22, m11):
+        """Index of scalar or array labels, a numpy integer for scalars; -1 outside the basis."""
+        inside = (0 <= m22) & (m22 <= m11) & (m11 <= m12) & (m12 <= self.cutoff)
+        start = self.row_start[np.where(inside, m12, 0), np.where(inside, m22, 0)]
+        return np.where(inside, start + m11 - m22, -1)[()]
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Indices of patterns whose degree is at most cutoff - margin.
@@ -145,14 +148,15 @@ def enumerate_basis(p: float, cutoff: int) -> FockBasis:
     if not 0 <= cutoff <= CUTOFF_MAX:
         raise ValueError(f"cutoff must satisfy 0 <= cutoff <= {CUTOFF_MAX}, got {cutoff}")
     cutoff = int(cutoff)
-    m12, m22, m11 = np.indices((cutoff + 1,) * 3).reshape(3, -1)
-    keep = (m12 >= m11) & (m11 >= m22)
-    m12, m22, m11 = m12[keep], m22[keep], m11[keep]
-    order = np.lexsort((m11, m12, m12 + m22))
-    m12, m22, m11 = m12[order], m22[order], m11[order]
-    lookup = np.full((cutoff + 2,) * 3, -1, dtype=np.intp)
-    lookup[m12, m22, m11] = np.arange(len(m12))
-    return FockBasis(p=float(p), cutoff=cutoff, m12=m12, m22=m22, m11=m11, lookup=lookup)
+    row22, row12 = np.triu_indices(cutoff + 1)
+    order = np.lexsort((row12, row12 + row22))
+    row12, row22 = row12[order], row22[order]
+    counts = row12 - row22 + 1
+    row_start = np.zeros((cutoff + 1,) * 2, dtype=np.intp)
+    row_start[row12, row22] = np.cumsum(counts) - counts
+    m11 = _ranges(row22, counts)  # first, so its temporaries set the peak alone
+    m12, m22 = np.repeat(row12, counts), np.repeat(row22, counts)
+    return FockBasis(p=float(p), cutoff=cutoff, m12=m12, m22=m22, m11=m11, row_start=row_start)
 
 
 @dataclass(eq=False)
@@ -172,11 +176,10 @@ class FockVector:
 
     @classmethod
     def unit(cls, basis: FockBasis, pattern: GZPattern) -> "FockVector":
-        if pattern.m12 > basis.cutoff:
+        index = basis.find(pattern.m12, pattern.m22, pattern.m11)
+        if index < 0:
             raise KeyError(pattern)
-        v = np.zeros(basis.size, dtype=np.complex128)
-        v[basis.lookup[pattern.m12, pattern.m22, pattern.m11]] = 1.0
-        return cls(basis, v)
+        return cls(basis, np.where(np.arange(basis.size) == index, 1.0, 0.0))
 
     def _check_basis(self, other: "FockVector") -> None:
         a, b = self.basis, other.basis

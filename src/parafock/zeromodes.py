@@ -21,9 +21,7 @@ _RANK_TOL = 1e-10
 
 
 def _validate_family(j: int, k: int, p: float) -> None:
-    if isinstance(j, bool) or isinstance(k, bool):
-        raise TypeError("j and k must be integers")
-    if not isinstance(j, (int, np.integer)) or not isinstance(k, (int, np.integer)):
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (j, k)):
         raise TypeError(f"j and k must be integers, got {j!r}, {k!r}")
     if not (0 <= j <= k):
         raise ValueError(f"need 0 <= j <= k, got j = {j}, k = {k}")
@@ -162,7 +160,7 @@ def ladder_rungs(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
 def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
     # later supports are the rows b1+'s own entries reach, not a weight formula
     i = np.arange(j + 1)
-    rungs = [(basis.lookup[k + i, j - i, j], zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
+    rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
     raise_op = build_generator(basis, "b1+") if nmax else None
     for n in range(nmax):
         index, values = raise_op.apply_on(*rungs[-1])

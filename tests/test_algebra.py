@@ -58,7 +58,7 @@ def test_b1_plus_vacuum_column():
     basis = enumerate_basis(3.0, 4)
     op = build_generator(basis, "b1+")
     column = op.column(0)
-    target = basis.index[GZPattern(1, 0, 1)]
+    target = basis.find(1, 0, 1)
     assert set(column) == {target}
     assert abs(column[target] - math.sqrt(3.0)) < ENTRY_TOL
 

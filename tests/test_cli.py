@@ -141,6 +141,23 @@ def test_b2_elements_runs_up_to_the_basis_envelope(nmax, code):
         assert float(summary["max_abs_dev"]) <= 1e-8
 
 
+@pytest.mark.parametrize("args, code", [
+    (("coherent", "--p", "2.5", "--j", "0", "--k", "1", "--alpha", "0.5,0", "--nmax", "201"), 2),
+    (("bicoherent", "--p", "2.5", "--j", "0", "--l", "1", "--alpha", "0.5,0", "--beta", "0.5,0",
+      "--kmax", "201"), 2),
+    (("coherent", "--p", "2.5", "--j", "0", "--k", "1", "--alpha", "0.5,0", "--nmax", "200"), 0),
+    (("bicoherent", "--p", "2.5", "--j", "0", "--l", "1", "--alpha", "0.5,0", "--beta", "0.5,0",
+      "--kmax", "200"), 0),
+])
+def test_rung_and_component_counts_are_capped_at_200(args, code):
+    proc = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parafock: error:")
+
+
 def test_bicoherent_reports_the_residual_quantities():
     proc = run_cli(
         "bicoherent", "--p", "2.5", "--j", "0", "--l", "1",

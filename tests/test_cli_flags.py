@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,12 @@ _BAD = {
 }
 
 
+_COMPLEX_VALUE = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(lambda z: f"{z[0]!r},{z[1]!r}")
+# seconds one in-process CLI run may take; the slowest accepted example here
+# (a verify-all pass) takes about 2 s
+_WALL_LIMIT = 15.0
+
+
 @st.composite
 def _b2_argv(draw):
     """b2-elements flags with up to two of them non-finite or out of range.
@@ -187,14 +194,13 @@ def _b2_argv(draw):
     every run that reaches the engine has j + k + nmax <= 80.
     """
     k, j = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-    complex_value = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(lambda z: f"{z[0]!r},{z[1]!r}")
     values = {
         "p": repr(draw(st.floats(1.0, 8.0, exclude_min=True))),
         "j": str(j),
         "k": str(k),
         "nmax": str(draw(st.integers(4, 80 - j - k))),
-        "alpha": draw(complex_value),
-        "alpha-prime": draw(complex_value),
+        "alpha": draw(_COMPLEX_VALUE),
+        "alpha-prime": draw(_COMPLEX_VALUE),
     }
     for name in draw(st.sets(st.sampled_from(sorted(_BAD)), max_size=2)):
         values[name] = draw(st.sampled_from(_BAD[name]))
@@ -203,17 +209,93 @@ def _b2_argv(draw):
     return ["b2-elements", *(f"--{name}={v}" for name, v in values.items()), f"--format={fmt}"]
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(argv=_b2_argv())
-def test_b2_elements_fuzz_exits_cleanly(argv):
+def _assert_exits_cleanly(argv):
+    """Exit 0 or 2 within _WALL_LIMIT seconds, no traceback, only finite numbers on stdout."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    elapsed = time.perf_counter() - start
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert elapsed < _WALL_LIMIT, (argv, elapsed)
     text = out.getvalue()
     if argv[-1] == "--format=json" and code == 0:
         values = _numbers(json.loads(text))
     else:
         values = _numbers([f for ln in text.splitlines() for f in ln.lstrip("# ").replace("=", ",").split(",")])
     assert all(math.isfinite(x) for x in values), (argv, text)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(argv=_b2_argv())
+def test_b2_elements_fuzz_exits_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+_P = st.one_of(st.floats(1.0, 8.0, exclude_min=True), st.floats(1.0, 120.0, exclude_min=True)).map(repr)
+_BAD_INT = ["-1", "nan", "inf", "1.5", "1000000", "100000000"]
+_BAD_REAL = ["nan", "inf", "-inf", "x"]
+_BAD_COMPLEX = _BAD["alpha"]
+
+# per subcommand: its flags (strategies of the text value; None omits the
+# flag, True passes it bare), the bad values each may take instead, and the
+# example count; engine sizes stay small so the whole test stays short
+_FUZZ = {
+    "basis": ({"p": _P, "cutoff": st.integers(0, 12).map(str)},
+              {"p": _BAD["p"], "cutoff": ["201", *_BAD_INT]}, 40),
+    "op-matrix": ({"gen": st.sampled_from(["b1+", "b1-", "b2+", "b2-", "h1", "h2"]), "p": _P,
+                   "cutoff": st.integers(0, 10).map(str)},
+                  {"gen": ["b3+", ""], "p": _BAD["p"], "cutoff": ["201", *_BAD_INT]}, 40),
+    "verify-triple": ({"p": _P, "cutoff": st.integers(3, 9).map(str),
+                       "tol": st.one_of(st.none(), st.floats(1e-12, 1e-3).map(repr))},
+                      {"p": _BAD["p"], "cutoff": ["2", "201", *_BAD_INT], "tol": ["0", "-1", *_BAD_REAL]}, 20),
+    "zeromodes": ({"p": _P, "j": st.integers(0, 8).map(str), "k": st.integers(0, 10).map(str)},
+                  {"p": _BAD["p"], "j": ["5000", *_BAD_INT], "k": ["5000", *_BAD_INT]}, 40),
+    "coherent": ({"p": _P, "j": st.integers(0, 6).map(str), "k": st.integers(0, 6).map(str),
+                  "alpha": _COMPLEX_VALUE,
+                  "nmax": st.one_of(st.none(), st.integers(4, 200).map(str)),
+                  "normalized": st.sampled_from([None, True]), "cat": st.sampled_from([None, "+", "-"])},
+                 {"p": _BAD["p"], "j": _BAD_INT, "k": _BAD_INT, "alpha": _BAD_COMPLEX,
+                  "nmax": ["3", "201", *_BAD_INT], "cat": ["0"]}, 60),
+    "bicoherent": ({"p": _P, "j": st.integers(0, 6).map(str), "l": st.integers(0, 7).map(str),
+                    "alpha": _COMPLEX_VALUE, "beta": _COMPLEX_VALUE,
+                    "kmax": st.integers(2, 200).map(str)},
+                   {"p": _BAD["p"], "j": _BAD_INT, "l": _BAD_INT, "alpha": _BAD_COMPLEX,
+                    "beta": _BAD_COMPLEX, "kmax": ["1", "201", *_BAD_INT]}, 60),
+    "bessel": ({"kind": st.sampled_from(["i", "k"]), "nu": st.floats(-60, 60).map(repr),
+                "x": st.floats(0, 50).map(repr)},
+               {"kind": ["j"], "nu": ["61", "1e308", *_BAD_REAL], "x": ["-1", "51", "1e308", *_BAD_REAL]}, 40),
+    "moments": ({"p": _P, "j": st.integers(0, 6).map(str), "kind": st.sampled_from(["I", "II"]),
+                 "nmax": st.integers(1, 8).map(str)},
+                {"p": _BAD["p"], "j": _BAD_INT, "kind": ["III"], "nmax": ["0", "9", *_BAD_INT]}, 30),
+    "resolution": ({"p": _P, "j": st.integers(0, 6).map(str), "ncheck": st.integers(0, 16).map(str),
+                    "mode": st.sampled_from(["offdiag", "cat"]),
+                    "tol": st.one_of(st.none(), st.floats(1e-6, 1e-2).map(repr))},
+                   {"p": _BAD["p"], "j": _BAD_INT, "ncheck": ["17", *_BAD_INT], "mode": ["diag"],
+                    "tol": ["0", "-1", *_BAD_REAL]}, 30),
+    "verify-all": ({"p": st.one_of(st.none(), _P), "cutoff": st.one_of(st.none(), st.integers(3, 8).map(str))},
+                   {"p": _BAD["p"], "cutoff": ["2", "201", *_BAD_INT]}, 4),
+}
+
+
+@st.composite
+def _subcommand_argv(draw, name):
+    """Flags of one subcommand with up to two of them non-finite, out of range or malformed."""
+    flags, bad, _ = _FUZZ[name]
+    values = {flag: draw(strategy) for flag, strategy in flags.items()}
+    for flag in draw(st.sets(st.sampled_from(sorted(bad)), max_size=2)):
+        values[flag] = draw(st.sampled_from(bad[flag]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    given_flags = [f"--{flag}" if v is True else f"--{flag}={v}" for flag, v in values.items() if v is not None]
+    return [name, *given_flags, f"--format={fmt}"]
+
+
+@pytest.mark.parametrize("name", list(_FUZZ))
+def test_every_subcommand_fuzz_exits_cleanly(name):
+    @settings(derandomize=True, max_examples=_FUZZ[name][2], deadline=None, database=None)
+    @given(argv=_subcommand_argv(name))
+    def check(argv):
+        _assert_exits_cleanly(argv)
+
+    check()

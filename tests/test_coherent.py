@@ -69,6 +69,17 @@ def test_frozen_norm_values():
         assert coherent_norm(p, j, absalpha) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("p, j, alpha", [
+    (7.0, 2, 1.175494351e-38j),  # tiny |alpha|
+    (120.0, 0, 0.01),  # I_59(1e-4) underflows
+    (2.5, 300, 1.0),  # large p/2 + j
+])
+def test_bessel_norm_is_finite_where_its_power_overflows(p, j, alpha):
+    norm = coherent_norm(p, j, alpha)
+    assert math.isfinite(norm) and norm >= 1.0
+    assert norm == coherent_norm_series(p, j, alpha)
+
+
 def test_norm_depends_only_on_the_modulus():
     p, j = 2.5, 1
     for phase in (1.0, 1.0j, cmath.exp(0.3j)):

@@ -1,6 +1,8 @@
 """Tests for the pattern basis: enumeration, weights, ordering, vectors."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ def test_ordering_is_by_degree_then_m12_then_m11():
 def test_index_roundtrip():
     basis = enumerate_basis(P_DEFAULT, 4)
     for i, m in enumerate(basis.patterns):
-        assert basis.index[m] == i
+        assert basis.find(m.m12, m.m22, m.m11) == i
 
 
 def test_betweenness_validation():
@@ -98,7 +100,7 @@ def test_vector_arithmetic():
     basis = enumerate_basis(P_DEFAULT, 2)
     u = FockVector.unit(basis, GZPattern(0, 0, 0))
     v = FockVector.unit(basis, GZPattern(1, 1, 1))
-    vidx = basis.index[GZPattern(1, 1, 1)]
+    vidx = basis.find(1, 1, 1)
     w = (2.0 + 1.0j) * u + v - 0.5 * v
     assert w.coefficients[0] == 2.0 + 1.0j
     assert w.coefficients[vidx] == 0.5
@@ -151,15 +153,40 @@ def test_sub_rejects_a_basis_with_another_p():
     assert (u - v).norm() == 0.0
 
 
-def test_label_arrays_and_lookup_table():
-    basis = enumerate_basis(P_DEFAULT, 3)
-    for i, m in enumerate(basis.patterns):
-        assert (basis.m12[i], basis.m22[i], basis.m11[i]) == (m.m12, m.m22, m.m11)
-        assert basis.lookup[m.m12, m.m22, m.m11] == i
-    # outside the basis: betweenness violated, past the cutoff, or a label of -1
-    for labels in ((1, 2, 1), (2, 0, 3), (4, 0, 0), (3, 3, 4), (-1, 0, 0), (1, -1, 0)):
-        assert basis.lookup[labels] == -1, labels
-    assert sorted(basis.lookup[basis.lookup >= 0]) == list(range(basis.size))
+def test_label_arrays_and_find():
+    for cutoff in (0, 1, 3, 8):
+        basis = enumerate_basis(P_DEFAULT, cutoff)
+        for i, m in enumerate(basis.patterns):
+            assert (basis.m12[i], basis.m22[i], basis.m11[i]) == (m.m12, m.m22, m.m11)
+        index = {(m.m12, m.m22, m.m11): i for i, m in enumerate(basis.patterns)}
+        # labels from -2 to cutoff + 2; betweenness violated, past the cutoff or
+        # negative gives -1
+        labels = range(-2, cutoff + 3)
+        grid = np.array(list(itertools.product(labels, repeat=3))).T
+        found = basis.find(*grid)
+        assert found.shape == (len(labels) ** 3,)
+        for triple, i in zip(grid.T.tolist(), found.tolist()):
+            assert i == index.get(tuple(triple), -1), triple
+            scalar = basis.find(*triple)
+            assert scalar == i and {scalar: True}[i]
+        assert sorted(found[found >= 0].tolist()) == list(range(basis.size))
+        # a scalar label broadcasts against an array
+        assert basis.find(cutoff, np.arange(cutoff + 1), cutoff).tolist() == [
+            index[(cutoff, m22, cutoff)] for m22 in range(cutoff + 1)
+        ]
+
+
+def test_enumeration_peak_stays_near_the_label_arrays():
+    # no dense (cutoff + 1)^3 grid: the peak is within 1.5x of the labels it returns
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(2.5, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    labels = basis.m12.nbytes + basis.m22.nbytes + basis.m11.nbytes
+    assert basis.size == binomial_size(200)
+    assert peak < 1.5 * labels, (peak, labels)
 
 
 def test_verify_battery_builds_no_pattern_objects(monkeypatch):
