@@ -31,7 +31,7 @@ from .coherent import (
     coherent_norm_series,
     eigen_residual,
 )
-from .fockspace import FockVector, enumerate_basis
+from .fockspace import FockBasis, FockVector, enumerate_basis
 from .resolution import (
     radial_grid,
     resolution_identity_check,
@@ -66,25 +66,32 @@ def _finish(name: str, dev: float, tol: float, detail: str, t0: float) -> CheckR
     )
 
 
-def check_triple_relations(p_grid=P_GRID, cutoff: int = 8, tol: float = 1e-12) -> CheckResult:
-    """All 64 defining triple relations on interior patterns of the truncated basis."""
+def _bases(p_grid=P_GRID, cutoff: int = 8) -> tuple[FockBasis, ...]:
+    return tuple(enumerate_basis(p, cutoff) for p in p_grid)
+
+
+def check_triple_relations(bases=None, tol: float = 1e-12) -> CheckResult:
+    """All 64 triple relations on the interior of each basis (default: P_GRID at cutoff 8)."""
     t0 = time.perf_counter()
+    bases = _bases() if bases is None else bases
     worst = 0.0
-    for p in p_grid:
-        basis = enumerate_basis(p, cutoff)
+    for basis in bases:
         report = verify_triple_relations(basis, tol=tol)
         worst = max(worst, report.max_deviation)
-    detail = f"64 relations, p in {p_grid}, cutoff {cutoff}"
+    detail = f"64 relations, p in {tuple(b.p for b in bases)}, cutoff {bases[0].cutoff}"
     return _finish("triple_relations", worst, tol, detail, t0)
 
 
-def check_adjointness(p_grid=P_GRID, cutoff: int = 8, tol: float = 1e-12) -> CheckResult:
-    """adjoint(b_j+) = b_j- on the truncated matrices and {b_j-, b_j+} = 2 h_j on interior."""
+def check_adjointness(bases=None, tol: float = 1e-12) -> CheckResult:
+    """adjoint(b_j+) = b_j- on the truncated matrices and {b_j-, b_j+} = 2 h_j on interior.
+
+    ``bases`` defaults to P_GRID at cutoff 8.
+    """
     t0 = time.perf_counter()
+    bases = _bases() if bases is None else bases
     worst_adj = 0.0
     worst_pair = 0.0
-    for p in p_grid:
-        basis = enumerate_basis(p, cutoff)
+    for basis in bases:
         worst_adj = max(worst_adj, adjointness_deviation(basis))
         worst_pair = max(worst_pair, pair_anticommutator_deviation(basis))
     detail = f"adjoint dev {worst_adj:.3e}, pair anticommutator dev {worst_pair:.3e}"
@@ -388,6 +395,11 @@ ALL_CHECKS = (
 )
 
 
-def run_all() -> list[CheckResult]:
-    """Run every suite with its pinned grid, in acceptance order."""
-    return [check() for check in ALL_CHECKS]
+def run_all(p_grid=P_GRID, cutoff: int = 8) -> list[CheckResult]:
+    """Run every suite in acceptance order; ``p_grid`` and ``cutoff`` set the swept suites.
+
+    The two relation suites share one basis per p for the length of the pass.
+    """
+    bases = _bases(p_grid, cutoff)
+    inputs = {check_triple_relations: (bases,), check_adjointness: (bases,), check_zero_modes: (p_grid,)}
+    return [check(*inputs.get(check, ())) for check in ALL_CHECKS]

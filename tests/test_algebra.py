@@ -1,5 +1,6 @@
 """Tests for generator matrices and the defining algebraic relations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -99,6 +100,102 @@ def test_triple_relations_report():
     assert len(report.relations) == 64
     assert report.interior_degree == 3
     assert report.max_deviation <= RELATION_TOL
+
+
+def test_triple_relations_match_the_full_evaluation():
+    # reference: all 16 ordered anticommutators and full commutators, cut to the interior afterwards
+    for p in (1.3, 4.7):
+        basis = enumerate_basis(p, 8)
+        interior = basis.interior_indices(3)
+        gens = {(mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
+                for mode in (1, 2) for sign in (-1, 1)}
+        expected = []
+        for (j, xi), (k, eta), (l, eps) in itertools.product(gens, repeat=3):
+            anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator")
+            rhs = SparseOperator.zero(basis.size)
+            if l == j and eps != xi:
+                rhs = rhs + float(eps - xi) * gens[(k, eta)]
+            if l == k and eps != eta:
+                rhs = rhs + float(eps - eta) * gens[(j, xi)]
+            lhs = bracket(anti, gens[(l, eps)], "commutator")
+            expected.append((xi, eta, eps, j, k, l, (lhs - rhs).max_abs(columns=interior)))
+        report = verify_triple_relations(basis)
+        got = [(r.xi, r.eta, r.eps, r.j, r.k, r.l, r.deviation) for r in report.relations]
+        assert got == expected
+        assert report.max_deviation == max(dev for *_, dev in expected)
+
+
+def test_triple_relations_take_100_products(monkeypatch):
+    calls = [0]
+    matmul = SparseOperator.__matmul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", counting)
+    verify_triple_relations(enumerate_basis(P_TEST, 6))
+    # 10 anticommutators of two products each, then 4 commutators of two products per pair
+    assert calls[0] == 100
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    names=st.tuples(st.sampled_from(GENERATOR_NAMES), st.sampled_from(GENERATOR_NAMES)),
+    kind=st.sampled_from(("commutator", "anticommutator")),
+    cutoff=st.integers(0, 8),
+    data=st.data(),
+)
+def test_bracket_on_columns_matches_the_full_bracket(names, kind, cutoff, data):
+    basis = enumerate_basis(P_TEST, cutoff)
+    a, b = (build_generator(basis, name) for name in names)
+    columns = np.array(sorted(data.draw(st.sets(st.integers(0, basis.size - 1)))), dtype=np.intp)
+    part = bracket(a, b, kind, columns=columns)
+    full = bracket(a, b, kind)
+    assert np.isin(part.cols, columns).all()
+    kept = np.isin(full.cols, columns)
+    assert np.array_equal(part.rows, full.rows[kept])
+    assert np.array_equal(part.cols, full.cols[kept])
+    assert part.vals.tobytes() == full.vals[kept].tobytes()
+
+
+def _reference_generator(basis, name):
+    """Per-pattern (row, col, value) arrays of one generator, from scalar structure_f calls."""
+    p = basis.p
+    if name in ("h1", "h2"):
+        w = [p / 2.0 + m11 if name == "h1" else p / 2.0 + m12 + m22 - m11
+             for m12, m22, m11 in zip(basis.m12.tolist(), basis.m22.tolist(), basis.m11.tolist())]
+        return np.arange(basis.size), np.arange(basis.size), np.array(w, dtype=float)
+    # (shift, f1 or f2 at the row of the lower pattern, sign, integer under the root)
+    moves = {
+        "b1+": (((1, 0, 1), 0, 1.0, lambda a, b, c: c - b + 1), ((0, 1, 1), 1, -1.0, lambda a, b, c: a - c)),
+        "b2+": (((1, 0, 0), 0, 1.0, lambda a, b, c: a - c + 1), ((0, 1, 0), 1, 1.0, lambda a, b, c: c - b)),
+        "b1-": (((-1, 0, -1), 0, 1.0, lambda a, b, c: c - b), ((0, -1, -1), 1, -1.0, lambda a, b, c: a - c + 1)),
+        "b2-": (((-1, 0, 0), 0, 1.0, lambda a, b, c: a - c), ((0, -1, 0), 1, 1.0, lambda a, b, c: c - b + 1)),
+    }[name]
+    entries = []
+    for col, (m12, m22, m11) in enumerate(zip(basis.m12.tolist(), basis.m22.tolist(), basis.m11.tolist())):
+        for (d12, d22, d11), which, sign, root in moves:
+            row = basis.find(m12 + d12, m22 + d22, m11 + d11)
+            if row >= 0:
+                f = structure_f(m12 + min(d12, 0), m22 + min(d22, 0), p)[which]
+                entries.append((col, int(row), float(sign * np.sqrt(root(m12, m22, m11)) * f)))
+    entries.sort()
+    cols = np.array([e[0] for e in entries], dtype=np.intp)
+    rows = np.array([e[1] for e in entries], dtype=np.intp)
+    return rows, cols, np.array([e[2] for e in entries], dtype=float)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 8, 24])
+def test_generators_match_structure_f_bit_for_bit(cutoff):
+    for p in (1.3, P_TEST):
+        basis = enumerate_basis(p, cutoff)
+        for name in GENERATOR_NAMES:
+            op = build_generator(basis, name)
+            rows, cols, vals = _reference_generator(basis, name)
+            assert np.array_equal(op.rows, rows), name
+            assert np.array_equal(op.cols, cols), name
+            assert op.vals.tobytes() == vals.tobytes(), name
 
 
 def test_cartan_commutators_grade_the_odd_generators():
@@ -214,6 +311,8 @@ def test_run_all_builds_each_generator_once_per_basis(monkeypatch):
     monkeypatch.setattr(zeromodes, "_climb", counting_climb)
     verify.run_all()
     assert builds and set(builds.values()) == {1}
+    # the relation suites share their five cutoff-8 bases: 20 + 54 builds became 54
+    assert sum(builds.values()) == 54
     assert walks and set(walks.values()) == {1}
 
 

@@ -67,6 +67,21 @@ def test_verify_triple_passes_and_rejects_small_cutoffs():
     assert bad.stderr.startswith("parafock: error:")
 
 
+@pytest.mark.parametrize("args, code", [
+    (("verify-triple", "--p", "2.5", "--cutoff", "64"), 0),
+    (("verify-triple", "--p", "2.5", "--cutoff", "65"), 2),
+    (("verify-all", "--p", "2.5", "--cutoff", "64"), 0),
+    (("verify-all", "--cutoff", "65"), 2),
+])
+def test_relation_suites_cap_the_cutoff_at_64(args, code):
+    proc = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parafock: error:")
+
+
 def test_zeromodes_values_and_rejection():
     proc = run_cli("zeromodes", "--p", "3", "--j", "1", "--k", "1")
     assert proc.returncode == 0
