@@ -7,6 +7,8 @@ kernels, ladder families, coherent and cat eigenstates, bicoherent joint
 eigenstates, and the Bessel-measure resolutions of the identity.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .algebra import (
@@ -80,67 +82,8 @@ from .zeromodes import (
     zero_mode_vector,
 )
 
-__all__ = [
-    "__version__",
-    "ALL_CHECKS",
-    "BicoherentState",
-    "CheckResult",
-    "CoherentState",
-    "FockBasis",
-    "FockVector",
-    "GENERATOR_NAMES",
-    "GZPattern",
-    "MomentReport",
-    "P_GRID",
-    "QuadratureGrid",
-    "RadialMeasure",
-    "RelationDeviation",
-    "ResolutionReport",
-    "SeriesResult",
-    "SparseOperator",
-    "TripleReport",
-    "TruncationError",
-    "Weight",
-    "adjointness_deviation",
-    "b2_element",
-    "b2_element_oracle",
-    "b2sq_shift",
-    "bessel_i",
-    "bessel_k",
-    "bessel_k_oracle",
-    "besseli_values",
-    "besselk_values",
-    "bicoherent",
-    "bracket",
-    "build_coherent",
-    "build_generator",
-    "cat_state",
-    "coherent_norm",
-    "coherent_norm_series",
-    "coherent_overlap",
-    "diagonal_moment_form",
-    "eigen_residual",
-    "enumerate_basis",
-    "even_ind",
-    "hyp0f1",
-    "kernel_oracle",
-    "ladder_family",
-    "ladder_normalization",
-    "ladder_step",
-    "measure",
-    "odd_ind",
-    "pair_anticommutator_deviation",
-    "radial_grid",
-    "resolution_identity_check",
-    "run_all",
-    "stieltjes_closed_form",
-    "stieltjes_moment",
-    "stieltjes_moment_check",
-    "structure_f",
-    "t1_inverse_apply",
-    "to_fock_vector",
-    "verify_triple_relations",
-    "weight_of",
-    "zero_mode_coeffs",
-    "zero_mode_vector",
-]
+# every public name imported above, so the API is listed once
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -4,9 +4,11 @@ The four odd generators act on a Gelfand-Zetlin pattern by moving one of
 m12, m22 up or down by one while m11 follows the mode index; every matrix
 element is a square root of an integer times one of two structure
 coefficients.  Each generator is built in one vectorized pass over the
-basis arrays: a move whose target is outside the basis (``find`` gives -1)
-is skipped, so the builders never store zeros.  Each generator is built once
-per basis and shared, which is safe because operator arrays are read-only.
+labels of a sorted column set, the whole basis or only the columns an
+oracle touches: a move whose target is outside the basis (``find`` gives
+-1) is skipped, so the builders never store zeros.  Each whole-basis
+generator is built once per basis and shared, which is safe because
+operator arrays are read-only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .fockspace import FockBasis, FockVector, _ranges, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, _ranges, cartan_weights, even_ind, odd_ind
 
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
@@ -45,6 +47,12 @@ def _f1(m12, m22, p):
 
 def _f2(m12, m22, p):
     return np.sqrt((m22 + 1 + even_ind(m22) * (p - 2)) / (m12 - m22 + 1 - odd_ind(m12 - m22)))
+
+
+def _position(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in the sorted nonnegative ``keys``, -1 where it is absent."""
+    at = np.searchsorted(keys, values)
+    return np.where(np.concatenate((keys, [-1]))[at] == values, at, -1)
 
 
 def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -169,12 +177,8 @@ class SparseOperator:
     __rmul__ = __mul__
 
     def block(self, rows, cols) -> np.ndarray:
-        """Dense submatrix on the given row and column indices, in their order."""
-        row_pos = np.full(self.dim, -1)
-        row_pos[rows] = np.arange(len(rows))
-        col_pos = np.full(self.dim, -1)
-        col_pos[cols] = np.arange(len(cols))
-        r, c = row_pos[self.rows], col_pos[self.cols]
+        """Dense submatrix on the given sorted row and column indices."""
+        r, c = _position(rows, self.rows), _position(cols, self.cols)
         inside = (r >= 0) & (c >= 0)
         out = np.zeros((len(rows), len(cols)), dtype=np.complex128)
         out[r[inside], c[inside]] = self.vals[inside]
@@ -224,26 +228,27 @@ def build_generator(basis: FockBasis, name: str) -> SparseOperator:
     if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
     if name not in basis.cache:
-        basis.cache[name] = _assemble(basis, name)
+        basis.cache[name] = _assemble(basis, name, np.arange(basis.size))
     return basis.cache[name]
 
 
-def _assemble(basis: FockBasis, name: str) -> SparseOperator:
+def _assemble(basis: FockBasis, name: str, columns: np.ndarray) -> SparseOperator:
+    """The generator's entries in the sorted ``columns``, equal there to the whole matrix's."""
+    m12, m22, m11 = basis.m12[columns], basis.m22[columns], basis.m11[columns]
     if name in ("h1", "h2"):
-        w1, w2 = basis.weights()
-        diagonal = np.arange(basis.size)
-        return SparseOperator(basis.size, diagonal, diagonal, w1 if name == "h1" else w2)
+        w1, w2 = cartan_weights(basis.p, m12, m22, m11)
+        return SparseOperator(basis.size, columns, columns, w1 if name == "h1" else w2)
     rows, cols, vals = [], [], []
     for gen, (d12, d22, d11), coefficient, sign, root in _MOVES:
         if gen != name:
             continue
-        target = basis.find(basis.m12 + d12, basis.m22 + d22, basis.m11 + d11)
-        source = np.flatnonzero(target >= 0)
-        m12, m22, m11 = basis.m12[source], basis.m22[source], basis.m11[source]
-        f = coefficient(m12 + min(d12, 0), m22 + min(d22, 0), basis.p)
-        rows.append(target[source])
-        cols.append(source)
-        vals.append(sign * np.sqrt(root(m12, m22, m11)) * f)
+        target = basis.find(m12 + d12, m22 + d22, m11 + d11)
+        keep = np.flatnonzero(target >= 0)
+        s12, s22, s11 = m12[keep], m22[keep], m11[keep]
+        f = coefficient(s12 + min(d12, 0), s22 + min(d22, 0), basis.p)
+        rows.append(target[keep])
+        cols.append(columns[keep])
+        vals.append(sign * np.sqrt(root(s12, s22, s11)) * f)
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     # one nonzero term per (row, col), so only a sort is left: it merges two sorted runs
     order = np.argsort(cols * basis.size + rows, kind="stable")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_generator
+from . import algebra
 from .fockspace import FockBasis, FockVector, even_ind, odd_ind
 from .specfun import bessel_i, hyp0f1
 from .zeromodes import _validate_family, ladder_rungs, ladder_step
@@ -194,11 +194,18 @@ def eigen_residual(s: CoherentState) -> tuple[float, float]:
     return math.sqrt(resid_sq), abs(alpha) * abs(a[-1])
 
 
+def _ladder_terms(coeffs: np.ndarray, rungs) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of sum_n coeffs[n] rung n; rung n lies at degree k + j + n, so they ascend."""
+    pairs = list(zip(coeffs, rungs))
+    return (np.concatenate([index for _, (index, _) in pairs]),
+            np.concatenate([c * values for c, (_, values) in pairs]))
+
+
 def _ladder_sum(basis: FockBasis, coeffs: np.ndarray, rungs) -> np.ndarray:
-    """Sum of coeffs[n] times rung n on the whole basis, added rung by rung."""
+    """Sum of coeffs[n] times rung n on the whole basis."""
     acc = np.zeros(basis.size, dtype=np.complex128)
-    for c, (index, values) in zip(coeffs, rungs):
-        acc[index] += c * values
+    index, values = _ladder_terms(coeffs, rungs)
+    acc[index] += values
     return acc
 
 
@@ -262,15 +269,25 @@ def b2_element_oracle(
     """Matrix-engine value of the b2- element, independent of the closed forms.
 
     Both states are assembled rung by rung on the pattern basis and the
-    generator matrix is applied directly.  Truncation error is bounded by
+    generator matrix is applied directly, built on the ket ladder's rungs
+    only and kept in ``basis.cache`` next to it.  Truncation error is bounded by
     the product of the coefficient tails, far below the closed-form
     comparison tolerances for any nmax past the decay point.
     """
     if k < 1 or not (0 <= jp <= k - 1):
         raise ValueError(f"target family (jp, k-1) = ({jp}, {k - 1}) does not exist")
-    bra = to_fock_vector(basis, build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax))
-    ket = to_fock_vector(basis, build_coherent(basis.p, j, k, alpha, nmax=nmax))
-    return bra.inner(build_generator(basis, "b2-").apply(ket))
+    bra = build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax)
+    bra_rungs = ladder_rungs(basis, jp, k - 1, nmax)
+    ket = build_coherent(basis.p, j, k, alpha, nmax=nmax)
+    support, values = _ladder_terms(ket.coeffs, ladder_rungs(basis, j, k, nmax))
+    key = ("b2- on ladder", j, k, nmax)
+    if key not in basis.cache:
+        basis.cache[key] = algebra._assemble(basis, "b2-", support)
+    rows, values = basis.cache[key].apply_on(support, values)
+    image = np.zeros(basis.size, dtype=np.complex128)
+    image[rows] = values
+    # full-size vectors: a vdot over compacted ones changes the last bits
+    return FockVector(basis, _ladder_sum(basis, bra.coeffs, bra_rungs)).inner(FockVector(basis, image))
 
 
 @dataclass(frozen=True, eq=False)

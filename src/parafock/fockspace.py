@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Envelope: a cutoff-200 run peaks near 400 MB; p = 120 is twice the |nu| <= 60 Bessel window.
+# Envelope: cutoff-200 b2-elements peaks near 95 MiB; p = 120 is twice the |nu| <= 60 Bessel window.
 CUTOFF_MAX = 200
 P_MAX = 120.0
 

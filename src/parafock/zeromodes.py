@@ -13,16 +13,20 @@ import math
 
 import numpy as np
 
-from .algebra import build_generator
+from . import algebra
 from .fockspace import P_MAX, FockBasis, FockVector, even_ind, odd_ind
 
 # singular values at most this times max(1, largest) count as zero in kernel_oracle
 _RANK_TOL = 1e-10
 
 
-def _validate_family(j: int, k: int, p: float) -> None:
+def _check_integers(j, k) -> None:
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (j, k)):
         raise TypeError(f"j and k must be integers, got {j!r}, {k!r}")
+
+
+def _validate_family(j: int, k: int, p: float) -> None:
+    _check_integers(j, k)
     if not (0 <= j <= k):
         raise ValueError(f"need 0 <= j <= k, got j = {j}, k = {k}")
     if not 1 < p <= P_MAX:
@@ -77,19 +81,21 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
 
     Returns the kernel dimension and an orthonormal basis of the null space
     embedded in the full space.  This is a formula-free route: it only uses
-    the generator matrix and dense linear algebra, so it cross-checks the
-    closed-form coefficients independently.  ``j > k`` blocks are allowed
-    (their kernel is empty).
+    the generator matrix, built on the m11 = j patterns once per basis, and
+    dense linear algebra, so it cross-checks the closed-form coefficients
+    independently.  ``j > k`` blocks are allowed (their kernel is empty).
     """
+    _check_integers(j, k)
     if not (0 <= j and 0 <= k):
         raise ValueError(f"need j, k >= 0, got j = {j}, k = {k}")
     if k + j > basis.cutoff:
         raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
-    source = np.flatnonzero((basis.m11 == j) & (basis.degree == k + j))
+    columns, degree, lowering = _sector(basis, j)
+    source = columns[degree == k + j]
     if not source.size:
         return 0, []
-    target = np.flatnonzero((basis.m11 == j - 1) & (basis.degree == k + j - 1))
-    block = build_generator(basis, "b1-").block(target, source).real
+    rows, row_degree, _ = _sector(basis, j - 1)  # empty at j = 0
+    block = lowering.block(rows[row_degree == k + j - 1], source).real
     # with no target rows the SVD returns no singular values and vh = identity
     _, s, vh = np.linalg.svd(block)
     threshold = _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
@@ -99,6 +105,22 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
     full = np.zeros((null_dim, basis.size), dtype=np.complex128)
     full[:, source] = null_vectors.T
     return null_dim, [FockVector(basis, row) for row in full]
+
+
+def _indices(basis: FockBasis, m12, m22, m11) -> np.ndarray:
+    """Sorted indices of the broadcast labels that lie in the basis."""
+    found = basis.find(m12, m22, m11)
+    return np.sort(found[found >= 0])
+
+
+def _sector(basis: FockBasis, j: int) -> tuple:
+    """Sorted indices of the m11 = j patterns, their degrees and b1- on them, built once per basis."""
+    key = ("m11 sector", j)
+    if key not in basis.cache:
+        columns = _indices(basis, np.arange(basis.cutoff + 1), np.arange(j + 1)[:, None], j)
+        degree = basis.m12[columns] + basis.m22[columns]
+        basis.cache[key] = columns, degree, algebra._assemble(basis, "b1-", columns)
+    return basis.cache[key]
 
 
 def ladder_step(p: float, j: int, n: int) -> float:
@@ -158,13 +180,20 @@ def ladder_rungs(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
 
 
 def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
-    # later supports are the rows b1+'s own entries reach, not a weight formula
+    # later supports are the rows b1+'s own entries reach, not a weight formula;
+    # b1+ is built on the ladder's sector only, so each support must stay inside it
     i = np.arange(j + 1)
     rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
-    raise_op = build_generator(basis, "b1+") if nmax else None
-    for n in range(nmax):
-        index, values = raise_op.apply_on(*rungs[-1])
-        rungs.append((index, values / ladder_step(basis.p, j, n)))
+    if nmax:
+        # the h2 = p/2 + k patterns (k + m11 - m22, m22; m11) of rungs 0..nmax-1, m11 = j + n
+        m11, m22 = np.arange(j, j + nmax)[:, None], np.arange(k + 1)
+        columns = _indices(basis, k + m11 - m22, m22, m11)
+        raise_op = algebra._assemble(basis, "b1+", columns)
+        for n in range(nmax):
+            index, values = raise_op.apply_on(*rungs[-1])
+            rungs.append((index, values / ladder_step(basis.p, j, n)))
+        if not np.isin(np.concatenate([index for index, _ in rungs[:-1]]), columns).all():
+            raise RuntimeError(f"a rung of the ({j}, {k}) ladder leaves the columns b1+ was built on")
     for index, values in rungs:
         index.flags.writeable = values.flags.writeable = False
     return tuple(rungs)

@@ -296,12 +296,16 @@ def test_from_entries_accumulates():
 def test_run_all_builds_each_generator_once_per_basis(monkeypatch):
     from parafock import algebra, verify, zeromodes
 
-    builds, walks = {}, {}
+    builds, walks, parts = {}, {}, {}
     assemble, climb = algebra._assemble, zeromodes._climb
 
-    def counting(basis, name):
-        builds[(basis, name)] = builds.get((basis, name), 0) + 1
-        return assemble(basis, name)
+    def counting(basis, name, columns):
+        if len(columns) == basis.size:
+            builds[(basis, name)] = builds.get((basis, name), 0) + 1
+        else:
+            key = (basis, name, np.asarray(columns).tobytes())
+            parts[key] = parts.get(key, 0) + 1
+        return assemble(basis, name, columns)
 
     def counting_climb(basis, j, k, nmax):
         walks[(basis, j, k, nmax)] = walks.get((basis, j, k, nmax), 0) + 1
@@ -311,8 +315,11 @@ def test_run_all_builds_each_generator_once_per_basis(monkeypatch):
     monkeypatch.setattr(zeromodes, "_climb", counting_climb)
     verify.run_all()
     assert builds and set(builds.values()) == {1}
-    # the relation suites share their five cutoff-8 bases: 20 + 54 builds became 54
-    assert sum(builds.values()) == 54
+    # 30 for the relation suites' five shared cutoff-8 bases, 5 b1- for the zero-mode
+    # residuals and 10 for the squared shifts; ladders and oracles build on column sets
+    assert sum(builds.values()) == 45
+    # no oracle call rebuilds an operator on columns it was already built on
+    assert parts and set(parts.values()) == {1}
     assert walks and set(walks.values()) == {1}
 
 
@@ -350,6 +357,36 @@ def test_apply_on_matches_apply_bit_for_bit(name, cutoff, data):
     assert np.array_equal(rows, np.unique(rows))
     assert values.tobytes() == expected[rows].tobytes()
     assert not np.delete(expected, rows).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(GENERATOR_NAMES), p=st.floats(1.01, 120.0),
+       cutoff=st.integers(0, 12), data=st.data())
+def test_generator_on_columns_matches_the_whole_generator_bit_for_bit(name, p, cutoff, data):
+    from parafock import algebra
+
+    basis = enumerate_basis(p, cutoff)
+    everything = set(range(basis.size))
+    chosen = data.draw(st.one_of(st.just(set()), st.just(everything),
+                                 st.sets(st.integers(0, basis.size - 1))))
+    columns = np.array(sorted(chosen), dtype=np.intp)
+    full = build_generator(basis, name)
+    part = algebra._assemble(basis, name, columns)
+    expected = full.on_columns(columns)
+    for got, want in ((part.rows, expected.rows), (part.cols, expected.cols), (part.vals, expected.vals)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                                       allow_infinity=False),
+                                    min_size=columns.size, max_size=columns.size)),
+                 dtype=np.complex128)
+    vec = np.zeros(basis.size, dtype=np.complex128)
+    vec[columns] = x
+    whole = full.apply(vec)
+    rows, values = part.apply_on(columns, x)
+    assert values.tobytes() == whole[rows].tobytes()
+    assert not np.delete(whole, rows).any()
+    # a vector that lives on the columns sees the whole generator through apply as well
+    assert part.apply(vec).tobytes() == whole.tobytes()
 
 
 def test_operator_arrays_are_read_only():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,15 +320,15 @@ def test_bicoherent_residuals_are_relative_top_masses():
     assert state.eigen_residual_b2sq == pytest.approx(expected_b2, rel=1e-14)
 
 
-def test_b2_elements_builds_b1_plus_and_the_ket_ladder_once(monkeypatch, capsys):
+def test_b2_elements_assembles_no_whole_basis_generator(monkeypatch, capsys):
     from parafock import algebra, cli, zeromodes
 
     builds, walks = [], []
     assemble, climb = algebra._assemble, zeromodes._climb
 
-    def counting_assemble(basis, name):
-        builds.append(name)
-        return assemble(basis, name)
+    def counting_assemble(basis, name, columns):
+        builds.append((name, len(columns), basis.size))
+        return assemble(basis, name, columns)
 
     def counting_climb(basis, j, k, nmax):
         walks.append((j, k, nmax))
@@ -339,9 +340,26 @@ def test_b2_elements_builds_b1_plus_and_the_ket_ladder_once(monkeypatch, capsys)
             "--alpha", "0.7,0.2", "--alpha-prime", "0.3,-0.5", "--nmax", "57"]
     assert cli.main(argv) == 0
     assert "# cutoff=60" in capsys.readouterr().out.splitlines()
-    assert sorted(builds) == ["b1+", "b2-"]
+    # one b1+ on each ladder's sector and one b2- on the ket ladder, none on the whole basis
+    assert sorted(name for name, _, _ in builds) == ["b1+", "b1+", "b1+", "b2-"]
+    # at most k + 1 = 3 patterns on each of the 58 rungs, out of 39,711
+    assert all(0 < columns <= 3 * 58 < size for _, columns, size in builds)
     # the ket ladder serves all three jp; each bra ladder is walked once
     assert sorted(walks) == [(0, 1, 57), (1, 1, 57), (1, 2, 57)]
+
+
+def test_b2_element_oracle_peak_stays_under_four_full_vectors():
+    # the generators live on the ket ladder: what is left is a few full-size vectors
+    basis = enumerate_basis(2.5, 200)
+    tracemalloc.start()
+    try:
+        b2_element_oracle(basis, 1, 0.3 - 0.5j, 1, 2, 0.7 + 0.2j, 197)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vector = 16 * math.comb(203, 3)
+    assert basis.size == math.comb(203, 3)
+    assert peak < 4 * vector, peak / vector
 
 
 @pytest.mark.parametrize("call", [

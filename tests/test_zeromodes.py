@@ -18,6 +18,7 @@ from parafock import (
     zero_mode_coeffs,
     zero_mode_vector,
 )
+from parafock.zeromodes import ladder_rungs
 
 EXACT_TOL = 1e-14
 RESIDUAL_TOL = 1e-12
@@ -113,6 +114,35 @@ def test_kernel_oracle_dimensions():
     for k in range(4):
         for j in range(k + 1):
             assert kernel_oracle(basis, j, k)[0] == 1, (j, k)
+
+
+@pytest.mark.parametrize("j, k", [(1.5, 2), (1, 2.0), (True, 2), (1, False)])
+def test_kernel_oracle_rejects_non_integer_labels(j, k):
+    with pytest.raises(TypeError):
+        kernel_oracle(enumerate_basis(2.5, 8), j, k)
+
+
+def test_kernel_oracle_builds_no_whole_basis_b1_minus():
+    # a whole-basis b1- in the cache that would break any block read from it changes nothing
+    pairs = [(j, k) for j in range(5) for k in range(5)]
+    expected = [kernel_oracle(enumerate_basis(2.5, 10), j, k) for j, k in pairs]
+    basis = enumerate_basis(2.5, 10)
+    basis.cache["b1-"] = None
+    for (dim, vectors), (j, k) in zip(expected, pairs):
+        got_dim, got = kernel_oracle(basis, j, k)
+        assert got_dim == dim
+        assert [v.coefficients.tobytes() for v in got] == [v.coefficients.tobytes() for v in vectors]
+
+
+def test_climb_raises_when_a_rung_leaves_its_column_set(monkeypatch):
+    from parafock import zeromodes
+
+    assert len(ladder_rungs(enumerate_basis(2.5, 10), 1, 2, 5)) == 6
+    # without its last column, (k + j + 4, 0; j + 4), b1+ cannot build rung 5 in full
+    honest = zeromodes._indices
+    monkeypatch.setattr(zeromodes, "_indices", lambda *labels: honest(*labels)[:-1])
+    with pytest.raises(RuntimeError, match="leaves the columns"):
+        ladder_rungs(enumerate_basis(2.5, 10), 1, 2, 5)
 
 
 def test_kernel_oracle_spans_the_constructed_vector():
