@@ -27,6 +27,7 @@ _Q_MAX = 12.0
 _MOMENT_N_MAX = 8
 _NCHECK_MAX = 2 * _MOMENT_N_MAX
 _MODES = ("offdiag", "cat")
+_RHO_MAX = 1e154  # rho^2 stays a finite double
 
 
 def _validate_measure_args(kind: str, p: float, j: int) -> float:
@@ -74,15 +75,16 @@ def measure(kind: str, p: float, j: int, rho: float) -> float:
 
     The K order is q - 1 for kind I and q for kind II, q = p/2 + j.  The
     integral-representation backend is used, so there is no seam between
-    integer and generic orders and no argument cap.
+    integer and generic orders.  rho^2 must be a finite double; far out K
+    underflows to 0 before the power overflows, and so does the value.
     """
     q = _validate_measure_args(kind, p, j)
-    if not rho > 0:
-        raise ValueError(f"need rho > 0, got {rho}")
+    if not 0 < rho < _RHO_MAX:
+        raise ValueError(f"need 0 < rho < {_RHO_MAX:g}, got {rho}")
     x = float(rho) ** 2
     order = q - 1.0 if kind == "I" else q
     kval = float(besselk_values(order, np.array([x]))[0])
-    return 4.0 * (x / 2.0) ** q * kval
+    return 4.0 * (x / 2.0) ** q * kval if kval > 0 else 0.0
 
 
 class QuadratureGrid:
@@ -90,11 +92,14 @@ class QuadratureGrid:
 
     The first unit interval is geometrically graded toward 0 to resolve the
     fractional-power behaviour of K there; the remaining panels have width 1.
-    Bessel K and I evaluations at the nodes are cached per order since every
-    moment and every diagonal entry reuses the same columns.
+    Bessel K and I evaluations at the nodes are cached per order on the grid
+    since every moment and every diagonal entry reuses the same columns.  K
+    columns go through ``store``, the caller-owned bucket store of
+    :func:`besselk_values`, so grids given one store (one verification pass)
+    integrate each K bucket they share once; without one nothing outlives the grid.
     """
 
-    def __init__(self, boundaries: tuple[float, ...]) -> None:
+    def __init__(self, boundaries: tuple[float, ...], store: dict | None = None) -> None:
         ref_x, ref_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
         xs = []
         ws = []
@@ -108,6 +113,7 @@ class QuadratureGrid:
         self.x_max = boundaries[-1]
         self._k_cache: dict[float, np.ndarray] = {}
         self._i_cache: dict[float, np.ndarray] = {}
+        self._store = store
 
     @property
     def node_count(self) -> int:
@@ -116,7 +122,7 @@ class QuadratureGrid:
     def k_values(self, order: float) -> np.ndarray:
         key = float(order)
         if key not in self._k_cache:
-            self._k_cache[key] = besselk_values(key, self.x)
+            self._k_cache[key] = besselk_values(key, self.x, self._store)
         return self._k_cache[key]
 
     def i_values(self, order: float) -> np.ndarray:
@@ -138,12 +144,13 @@ def _tail_cutoff(q: float, n_max: int, tol: float) -> int:
     return x
 
 
-def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL) -> QuadratureGrid:
+def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL, store=None) -> QuadratureGrid:
     """Build the quadrature grid adequate for moments of order up to n_max.
 
     The upper end X comes from the K-decay criterion e^(-X) X^(q + 2 n_max)
     < tol, so the clipped tail is below tol in absolute terms for every
-    integrand the (p, j) checks evaluate.
+    integrand the (p, j) checks evaluate.  Every grid is a prefix of one node
+    sequence, so grids given one K bucket ``store`` share all but their top bucket.
     """
     q = _validate_measure_args("I", p, j)
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
@@ -153,7 +160,7 @@ def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL) -> Quadrat
     x_top = _tail_cutoff(q, int(n_max), tol)
     graded = [0.0] + [2.0 ** (-_GRADING_DEPTH + i) for i in range(_GRADING_DEPTH + 1)]
     boundaries = tuple(graded + [float(b) for b in range(2, x_top + 1)])
-    return QuadratureGrid(boundaries)
+    return QuadratureGrid(boundaries, store)
 
 
 def stieltjes_closed_form(kind: str, p: float, j: int, n: int) -> float:

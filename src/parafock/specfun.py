@@ -214,8 +214,8 @@ def bessel_k_oracle(nu: float, z: float) -> float:
     A one-point grid of :func:`besselk_values`, independent of the series
     forms of :func:`bessel_k`.
     """
-    if not 0 < z < math.inf:
-        raise ValueError(f"need a finite z > 0, got {z}")
+    if not 0 < 2.0 * z < math.inf:
+        raise ValueError(f"need z > 0 with 2z finite, got {z}")
     return float(besselk_values(nu, np.array([2.0 * z]))[0])
 
 
@@ -235,34 +235,47 @@ def _panel_cutoff(nu: float, xmin: float) -> float:
     return math.ceil(2.0 * t) / 2.0
 
 
-def besselk_values(nu: float, xs: np.ndarray) -> np.ndarray:
-    """K_nu on a grid of positive arguments via the integral representation.
+def _k_bucket(anu: float, xb: np.ndarray) -> np.ndarray:
+    """K_anu on one magnitude bucket, integrated out to the cutoff of its smallest point."""
+    width = 0.5
+    n_panels = int(round(_panel_cutoff(anu, float(xb.min())) / width))
+    starts = width * np.arange(n_panels)
+    t = (0.5 * width * _GL24_NODES[None, :] + (starts + 0.5 * width)[:, None]).ravel()
+    w = np.tile(0.5 * width * _GL24_WEIGHTS, n_panels)
+    log_g = _log_cosh(t, anu)[None, :] - xb[:, None] * (np.cosh(t) - 1.0)[None, :]
+    return (np.exp(log_g) @ w) * np.exp(-xb)
+
+
+def besselk_values(nu: float, xs: np.ndarray, store: dict | None = None) -> np.ndarray:
+    """K_nu on a grid of finite positive arguments via the integral representation.
 
     Evaluates e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt with
     panel Gauss-Legendre rules and removes the scaling at the end, which is
-    stable at any argument.  Grid points are bucketed by magnitude so the
-    integration range adapts to the slowest-decaying point of each bucket.
+    stable at any argument.  Grid points are bucketed by magnitude
+    (4^b <= x < 4^(b+1)) so the integration range adapts to the
+    slowest-decaying point of each bucket; a bucket's values depend only on
+    |nu| and its own points.  ``store`` is a caller-owned dict that maps a
+    bucket's point bytes to its values by |nu|: a bucket found there is not
+    integrated again, so grids that share a prefix of points share their
+    lower buckets bit for bit.  The caller decides how long it lives.
     """
+    if not math.isfinite(nu):
+        raise ValueError(f"need a finite order, got {nu}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("expected a one-dimensional grid")
-    if not np.all(xs > 0):
-        raise ValueError("all grid points must be positive")
+    if not np.all((xs > 0) & (xs < math.inf)):
+        raise ValueError("all grid points must be finite and positive")
     anu = abs(nu)
     out = np.empty_like(xs)
     buckets = np.floor(np.log2(xs) / 2.0).astype(int)
-    width = 0.5
     for b in np.unique(buckets):
         mask = buckets == b
         xb = xs[mask]
-        cutoff = _panel_cutoff(anu, float(xb.min()))
-        n_panels = int(round(cutoff / width))
-        starts = width * np.arange(n_panels)
-        t = (0.5 * width * _GL24_NODES[None, :] + (starts + 0.5 * width)[:, None]).ravel()
-        w = np.tile(0.5 * width * _GL24_WEIGHTS, n_panels)
-        log_g = _log_cosh(t, anu)[None, :] - xb[:, None] * (np.cosh(t) - 1.0)[None, :]
-        scaled = np.exp(log_g) @ w
-        out[mask] = scaled * np.exp(-xb)
+        by_order = {} if store is None else store.setdefault(xb.tobytes(), {})
+        if anu not in by_order:
+            by_order[anu] = _k_bucket(anu, xb)
+        out[mask] = by_order[anu]
     return out
 
 

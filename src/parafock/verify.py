@@ -316,18 +316,18 @@ def check_bessel_forms(tol: float = 1.0) -> CheckResult:
     for base in (1.0, 2.0):
         for eps in (5e-6, 1e-5):
             orders.update((base + eps, base - eps))
-    for nu in sorted(orders):
-        for x in xs:
-            val = bessel_k(nu, x).value
-            oracle = bessel_k_oracle(nu, x / 2.0)
-            worst = max(worst, abs(val - oracle) / abs(oracle) / 1e-8)
+    # the seam sweep below reads its center and side values from here
+    values = {(nu, x): bessel_k(nu, x).value for nu in sorted(orders) for x in xs}
+    for (nu, x), val in values.items():
+        oracle = bessel_k_oracle(nu, x / 2.0)
+        worst = max(worst, abs(val - oracle) / abs(oracle) / 1e-8)
 
     for base in (1.0, 2.0):
         for eps in (5e-6, 1e-5):
             for x in (0.5, 1.0, 5.0):
-                center = bessel_k(base, x).value
+                center = values[base, x]
                 for side in (base - eps, base + eps):
-                    jump = abs(bessel_k(side, x).value - center) / center
+                    jump = abs(values[side, x] - center) / center
                     worst = max(worst, jump / 1e-4)
 
     for x in (0.3, 1.0, 2.7, 10.0):
@@ -342,14 +342,15 @@ def check_bessel_forms(tol: float = 1.0) -> CheckResult:
     return _finish("bessel_forms", worst, tol, detail, t0)
 
 
-def check_stieltjes_moments(p_grid=P_GRID, tol: float = 1e-8) -> CheckResult:
+def check_stieltjes_moments(p_grid=P_GRID, tol: float = 1e-8, store=None) -> CheckResult:
     """Quadrature moments of F_I and F_II against the gamma-product closed forms."""
     t0 = time.perf_counter()
+    store = {} if store is None else store
     worst = 0.0
     count = 0
     for p in p_grid:
         for j in range(4):
-            grid = radial_grid(p, j, 5)
+            grid = radial_grid(p, j, 5, store=store)
             for kind in ("I", "II"):
                 for n in range(6):
                     report = stieltjes_moment_check(kind, p, j, n, grid=grid)
@@ -359,7 +360,7 @@ def check_stieltjes_moments(p_grid=P_GRID, tol: float = 1e-8) -> CheckResult:
     return _finish("stieltjes_moments", worst, tol, detail, t0)
 
 
-def check_resolution_identity(tol: float = 1.0) -> CheckResult:
+def check_resolution_identity(tol: float = 1.0, store=None) -> CheckResult:
     """Both decompositions of unity reproduce the identity matrix on 11 rungs.
 
     Deviations from delta are held to 1e-6, the two modes to 1e-10
@@ -367,11 +368,12 @@ def check_resolution_identity(tol: float = 1.0) -> CheckResult:
     node; all three are reported in units of their own tolerance.
     """
     t0 = time.perf_counter()
+    store = {} if store is None else store
     worst = 0.0
     positive = True
     for p in (1.3, 2.0, 2.5):
         for j in (0, 1, 2):
-            grid = radial_grid(p, j, 10)
+            grid = radial_grid(p, j, 10, store=store)
             rep_off = resolution_identity_check(p, j, 10, mode="offdiag", grid=grid)
             rep_cat = resolution_identity_check(p, j, 10, mode="cat", grid=grid)
             worst = max(worst, rep_off.max_abs_deviation / 1e-6)
@@ -402,8 +404,14 @@ ALL_CHECKS = (
 def run_all(p_grid=P_GRID, cutoff: int = 8) -> list[CheckResult]:
     """Run every suite in acceptance order; ``p_grid`` and ``cutoff`` set the swept suites.
 
-    The two relation suites share one basis per p for the length of the pass.
+    The two relation suites share one basis per p, and the grids of the two
+    quadrature suites one ``besselk_values`` bucket store, for the length of
+    the pass; called alone, each quadrature suite makes its own store.
     """
-    bases = _bases(p_grid, cutoff)
-    inputs = {check_triple_relations: (bases,), check_adjointness: (bases,), check_zero_modes: (p_grid,)}
-    return [check(*inputs.get(check, ())) for check in ALL_CHECKS]
+    bases, store = _bases(p_grid, cutoff), {}
+    inputs = {
+        check_triple_relations: {"bases": bases}, check_adjointness: {"bases": bases},
+        check_zero_modes: {"p_grid": p_grid},
+        check_stieltjes_moments: {"store": store}, check_resolution_identity: {"store": store},
+    }
+    return [check(**inputs.get(check, {})) for check in ALL_CHECKS]

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock import (
     MomentReport,
+    besselk_values,
     RadialMeasure,
     diagonal_moment_form,
     measure,
@@ -58,6 +61,13 @@ def test_measure_positivity():
             for j in (0, 2):
                 values = [measure(kind, p, j, float(r)) for r in rhos]
                 assert min(values) > 0.0, (kind, p, j)
+
+
+def test_measure_underflows_to_zero_far_out():
+    # (rho^2 / 2)^12 overflows a double here while K has long underflowed
+    for rho in (1e13, 1e100):
+        assert measure("I", 2.0, 11, rho) == 0.0
+        assert measure("II", 2.0, 11, rho) == 0.0
 
 
 def test_measure_object_wraps_the_function():
@@ -143,6 +153,42 @@ def test_grid_reuse_is_idempotent():
     first = stieltjes_moment("I", 2.5, 1, 2, grid=grid)
     second = stieltjes_moment("I", 2.5, 1, 2, grid=grid)
     assert first == second
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((1.3, 2.0, 2.5, 4.7)), st.integers(0, 3), st.integers(0, 10)),
+        min_size=1, max_size=4,
+    ),
+    st.lists(st.sampled_from((-0.35, 0.25, 1.0, 1.25, 2.35)), max_size=2),
+)
+def test_grids_sharing_a_bucket_store_match_fresh_columns(shapes, orders):
+    store = {}
+    for p, j, n_max in shapes:
+        grid = radial_grid(p, j, n_max, store=store)
+        for order in (p / 2.0 + j - 1.0, p / 2.0 + j, *orders):
+            assert grid.k_values(order).tobytes() == besselk_values(order, grid.x).tobytes()
+
+
+def test_run_all_integrates_each_k_bucket_once_per_pass(monkeypatch):
+    from parafock import specfun, verify
+
+    calls = []
+    k_bucket = specfun._k_bucket
+
+    def counting(anu, xb):
+        calls.append(anu)
+        return k_bucket(anu, xb)
+
+    monkeypatch.setattr(specfun, "_k_bucket", counting)
+    verify.run_all()
+    first = len(calls)
+    # grids without a shared store integrate 1,834; the oracle sweep of
+    # bessel_forms keeps its one-point buckets out of the store
+    assert first == 997
+    verify.run_all()
+    assert len(calls) == 2 * first
 
 
 def test_validation_errors():

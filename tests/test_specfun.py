@@ -18,6 +18,7 @@ from parafock import (
     besseli_values,
     besselk_values,
     hyp0f1,
+    measure,
 )
 
 ORACLE_REL_TOL = 1e-12
@@ -177,3 +178,19 @@ def test_validation_windows():
     with pytest.raises(ValueError):
         hyp0f1(0.0, 1.0)
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: besselk_values(math.nan, [1.0, 2.0]),
+        lambda: besselk_values(1.0, [math.inf]),
+        lambda: besselk_values(math.inf, [1.0]),
+        lambda: bessel_k_oracle(1.0, 1e308),  # 2z overflows
+        lambda: measure("I", 2.5, 0, math.inf),
+        lambda: measure("I", 2.5, 0, 1e200),  # rho^2 overflows
+    ],
+    ids=["nan-order", "inf-point", "inf-order", "oracle-2z", "measure-inf", "measure-rho-squared"],
+)
+def test_k_grid_routes_reject_non_finite_input(call):
+    with pytest.raises(ValueError):
+        call()
