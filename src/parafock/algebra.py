@@ -85,11 +85,17 @@ class SparseOperator:
     @classmethod
     def _accumulate(cls, dim: int, rows, cols, vals) -> "SparseOperator":
         """Sum the entries that share a position, in the given order; drop exact zeros."""
-        keys = np.asarray(cols, dtype=np.intp) * dim + np.asarray(rows, dtype=np.intp)
-        keys, where = np.unique(keys, return_inverse=True)
-        sums = _sum_by(where, np.asarray(vals), len(keys))
+        rows, cols = (np.asarray(a, dtype=np.intp) for a in (rows, cols))
+        keys = cols * dim + rows
+        # a stable sort keeps each position's terms in input order; timsort merges the sorted runs
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        start = np.ones(len(keys), dtype=bool)
+        start[1:] = keys[1:] != keys[:-1]
+        sums = _sum_by(np.cumsum(start) - 1, np.asarray(vals)[order], int(start.sum()))
         keep = sums != 0
-        return cls(dim, keys[keep] % dim, keys[keep] // dim, sums[keep])
+        first = order[start][keep]
+        return cls(dim, rows[first], cols[first], sums[keep])
 
     @classmethod
     def zero(cls, dim: int) -> "SparseOperator":
@@ -145,7 +151,7 @@ class SparseOperator:
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        starts = np.searchsorted(self.cols, np.arange(self.dim + 1))
+        starts = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.dim))))
         first = starts[other.rows]
         count = starts[other.rows + 1] - first
         # pair every right entry (k, col) with each left entry of column k
@@ -296,7 +302,9 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     """Check [{b_j^xi, b_k^eta}, b_l^eps] = (eps-xi) d_jl b_k^eta + (eps-eta) d_kl b_j^xi.
 
     All 64 sign and index combinations are evaluated on interior columns
-    (degree <= cutoff - 3), where the threefold product is exact.  Swapping
+    (degree <= cutoff - 3), where the threefold product is exact.  The
+    commutators read each anticommutator one generator step further, so it is
+    built on degree <= cutoff - 2 only: bit for bit the full one there.  Swapping
     (j, xi) and (k, eta) changes only the order of two-term sums, which commute
     exactly, so each of the 10 unordered pairs is evaluated once for both orders.
     """
@@ -305,19 +313,20 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
         for mode in (1, 2)
         for sign in (-1, 1)
     }
-    interior = basis.interior_indices(3)
+    interior, reach = basis.interior_indices(3), basis.interior_indices(2)
+    inner = {key: gen.on_columns(interior) for key, gen in gens.items()}
     zero = SparseOperator.zero(basis.size)
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator")
+        anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator", columns=reach)
         for (l, eps) in gens.keys():
             lhs = bracket(anti, gens[(l, eps)], "commutator", columns=interior)
             rhs = zero
             if l == j and eps != xi:
-                rhs = rhs + float(eps - xi) * gens[(k, eta)]
+                rhs = rhs + float(eps - xi) * inner[(k, eta)]
             if l == k and eps != eta:
-                rhs = rhs + float(eps - eta) * gens[(j, xi)]
-            dev = (lhs - rhs).max_abs(columns=interior)
+                rhs = rhs + float(eps - eta) * inner[(j, xi)]
+            dev = (lhs - rhs).max_abs()
             deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = dev
     results = [
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])

@@ -469,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
-# takes about 2 s and 90 MiB and verify-all about 10 s; both grow as cutoff**3
-# (verify-triple at cutoff 200: 64 s and 1.5 GB for each p).
+# takes about 1.5 s and 75 MiB and verify-all about 10 s; both grow as cutoff**3
+# (cutoff 200 would take about 30 times the time and memory for each p).
 _RELATION_CUTOFF_MAX = 64
 
 

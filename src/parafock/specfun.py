@@ -243,7 +243,11 @@ def _k_bucket(anu: float, xb: np.ndarray) -> np.ndarray:
     t = (0.5 * width * _GL24_NODES[None, :] + (starts + 0.5 * width)[:, None]).ravel()
     w = np.tile(0.5 * width * _GL24_WEIGHTS, n_panels)
     log_g = _log_cosh(t, anu)[None, :] - xb[:, None] * (np.cosh(t) - 1.0)[None, :]
-    return (np.exp(log_g) @ w) * np.exp(-xb)
+    with np.errstate(over="ignore"):
+        scaled = np.exp(log_g) @ w
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"e^x K_{anu}(x) exceeds the double range for x in [{xb.min()}, {xb.max()}]")
+    return scaled * np.exp(-xb)
 
 
 def besselk_values(nu: float, xs: np.ndarray, store: dict | None = None) -> np.ndarray:

@@ -103,9 +103,10 @@ def test_triple_relations_report():
 
 
 def test_triple_relations_match_the_full_evaluation():
-    # reference: all 16 ordered anticommutators and full commutators, cut to the interior afterwards
-    for p in (1.3, 4.7):
-        basis = enumerate_basis(p, 8)
+    # reference: all 16 ordered anticommutators and full commutators, cut to the interior afterwards;
+    # at cutoff 3 the interior is the vacuum alone
+    for p, cutoff in itertools.product((1.3, 4.7, 119.5), (3, 4, 8)):
+        basis = enumerate_basis(p, cutoff)
         interior = basis.interior_indices(3)
         gens = {(mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
                 for mode in (1, 2) for sign in (-1, 1)}
@@ -121,8 +122,25 @@ def test_triple_relations_match_the_full_evaluation():
             expected.append((xi, eta, eps, j, k, l, (lhs - rhs).max_abs(columns=interior)))
         report = verify_triple_relations(basis)
         got = [(r.xi, r.eta, r.eps, r.j, r.k, r.l, r.deviation) for r in report.relations]
-        assert got == expected
+        assert got == expected, (p, cutoff)
         assert report.max_deviation == max(dev for *_, dev in expected)
+
+
+def test_triple_relations_read_no_column_past_the_second_last_shell(monkeypatch):
+    # no right factor reaches the cutoff shell, so its columns are never built
+    right_cols = []
+    matmul = SparseOperator.__matmul__
+
+    def recording(self, other):
+        right_cols.append(other.cols)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", recording)
+    for cutoff in (3, 6):
+        basis = enumerate_basis(P_TEST, cutoff)
+        right_cols.clear()
+        verify_triple_relations(basis)
+        assert max(basis.degree[cols].max(initial=0) for cols in right_cols) == cutoff - 2
 
 
 def test_triple_relations_take_100_products(monkeypatch):
@@ -284,6 +302,80 @@ def test_operator_algebra_consistency():
     prod = (a @ b).to_dense()
     assert np.max(np.abs(prod - a.to_dense() @ b.to_dense())) <= 1e-13
     assert (2.0 * a - a - a).max_abs() == 0.0
+
+
+def _reference_accumulate(dim, rows, cols, vals):
+    """Grouping of sums and products by np.unique, the former engine's, kept as the reference."""
+    keys = np.asarray(cols, dtype=np.intp) * dim + np.asarray(rows, dtype=np.intp)
+    keys, where = np.unique(keys, return_inverse=True)
+    vals = np.asarray(vals)
+    if np.iscomplexobj(vals):
+        sums = np.empty(len(keys), dtype=np.complex128)
+        sums.real = np.bincount(where, vals.real, len(keys))
+        sums.imag = np.bincount(where, vals.imag, len(keys))
+    else:
+        sums = np.bincount(where, vals, len(keys))
+    keep = sums != 0
+    return keys[keep] % dim, keys[keep] // dim, sums[keep]
+
+
+def _reference_product(a, b):
+    """Terms of a @ b in column, right entry, left entry order, grouped by the reference."""
+    starts = np.searchsorted(a.cols, np.arange(a.dim + 1))
+    pairs = [(i, e) for i, k in enumerate(b.rows.tolist()) for e in range(starts[k], starts[k + 1])]
+    right = np.array([i for i, _ in pairs], dtype=np.intp)
+    left = np.array([e for _, e in pairs], dtype=np.intp)
+    return _reference_accumulate(a.dim, a.rows[left], b.cols[right], a.vals[left] * b.vals[right])
+
+
+# x and -x cancel exactly; 0.1 + 0.2 - 0.3 depends on the order of its terms
+_PARTS = (0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 2.5, -2.5, 1e-17)
+
+
+@st.composite
+def _triplets(draw, dim):
+    part = st.sampled_from(_PARTS)
+    value = st.builds(complex, part, part) if draw(st.booleans()) else part
+    index = st.integers(0, dim - 1)
+    return draw(st.lists(st.tuples(index, index, value), max_size=14))
+
+
+@st.composite
+def _operator_pairs(draw):
+    """Two operators of one dimension, and a triplet list with repeated positions."""
+    if draw(st.booleans()):
+        basis = enumerate_basis(draw(st.sampled_from((1.3, P_TEST, 119.5))), draw(st.integers(0, 10)))
+        a, b = (build_generator(basis, draw(st.sampled_from(GENERATOR_NAMES))) for _ in "ab")
+        return a, b, a.entries + b.entries
+    dim = draw(st.integers(1, 4))
+    left, right = draw(_triplets(dim)), draw(_triplets(dim))
+    a, b = (SparseOperator.from_entries(dim, t) for t in (left, right))
+    return a, b, left + right
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_operator_pairs())
+def test_sums_and_products_match_the_unique_grouping_bit_for_bit(pair):
+    a, b, triplets = pair
+    dim = a.dim
+    checks = [
+        (a @ b, _reference_product(a, b)),
+        (a + b, _reference_accumulate(dim, np.concatenate((a.rows, b.rows)),
+                                      np.concatenate((a.cols, b.cols)),
+                                      np.concatenate((a.vals, b.vals)))),
+        (a - b, _reference_accumulate(dim, np.concatenate((a.rows, b.rows)),
+                                      np.concatenate((a.cols, b.cols)),
+                                      np.concatenate((a.vals, -1.0 * b.vals)))),
+        (a.adjoint(), _reference_accumulate(dim, a.cols, a.rows, np.conj(a.vals))),
+        (SparseOperator.from_entries(dim, triplets),
+         _reference_accumulate(dim, *(zip(*triplets) if triplets else ((), (), ())))),
+        (SparseOperator.zero(dim), _reference_accumulate(dim, (), (), ())),
+    ]
+    for got, want in checks:
+        assert not (got.vals == 0).any()
+        for array, expected in zip((got.rows, got.cols, got.vals), want):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
 
 
 def test_from_entries_accumulates():

@@ -6,6 +6,7 @@ comparison grid stays inside the validated operating window x <= 50,
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -194,3 +195,15 @@ def test_validation_windows():
 def test_k_grid_routes_reject_non_finite_input(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("nu", [169.0, 200.0, 1e4, 1e300])
+def test_k_grid_routes_reject_values_past_the_double_range(nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="double range"):
+            besselk_values(nu, [1.0])
+        with pytest.raises(ValueError, match="double range"):
+            bessel_k_oracle(nu, 0.5)
+    # no flat order cap: the radial grids need orders above the series routes' 60
+    assert 0 < bessel_k_oracle(140.0, 0.5) < math.inf
