@@ -62,7 +62,7 @@ def _sum_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         out.real = np.bincount(index, values.real, n)
         out.imag = np.bincount(index, values.imag, n)
         return out
-    return np.bincount(index, values, n)
+    return np.bincount(index, values, n).astype(np.float64, copy=False)  # int64 when empty
 
 
 class SparseOperator:

@@ -8,7 +8,8 @@ the logarithmic series at integer order.  Both forms cancel catastrophically
 in double precision once x exceeds a few units (the summands grow like e^x
 while the result decays like e^-x), so they are evaluated in escalated
 working precision sized from that loss estimate and rounded to a double at
-the end.  An independent integral-representation evaluator serves as oracle
+the end.  The term loops run on Python integers scaled by 2^prec at those
+working digits; mpmath supplies only the one-off prefactors.  An independent integral-representation evaluator serves as oracle
 and as the stable backend for quadrature grids.
 
 Operating envelope: series arguments are validated to x <= 50; the integral
@@ -112,37 +113,41 @@ def _working_digits(x: float, delta: float) -> int:
     return digits
 
 
-def _besseli_series_mp(mu, half_z, stop):
-    """mpmath ascending series for I_mu at z/2 = half_z; returns (value, terms)."""
-    term = mpmath.power(half_z, mu) / mpmath.gamma(mu + 1)
-    total = term
-    q = half_z * half_z
+def _besseli_series_mp(mu: float, x: float, digits: int):
+    """Ascending series for I_mu(x) on integers scaled by 2^s; returns (value, terms).
+
+    The scale gives the leading term 24 guard bits past the working
+    precision, each term is truncated toward zero, and the sum stops once
+    |term| < 10^-(digits - 6) |total|.
+    """
+    ten = 10 ** (digits - 6)
+    term = mpmath.power(mpmath.mpf(x) / 2, mu) / mpmath.gamma(mpmath.mpf(mu) + 1)
+    s = mpmath.mp.prec + 24 - mpmath.mag(term)
+    t = total = int(mpmath.ldexp(term, s))
+    (a, b), (c, e) = float(x).as_integer_ratio(), float(mu).as_integer_ratio()
     n = 0
     while True:
         n += 1
-        term = term * q / (n * (mu + n))
-        total += term
-        if abs(term) < stop * abs(total):
-            return total, n
+        num, den = t * a * a * e, 4 * b * b * n * (c + n * e)  # term * (x/2)^2 / (n (mu + n))
+        t = abs(num) // abs(den) if (num < 0) == (den < 0) else -(abs(num) // abs(den))
+        total += t
+        if abs(t) * ten < abs(total):
+            return mpmath.ldexp(total, -s), n
         if n > _MAX_TERMS:
             raise RuntimeError("series failed to terminate")
 
 
 def _bessel_k_reflection(nu: float, x: float, digits: int) -> tuple[float, int]:
     with mpmath.workdps(digits):
-        mnu = mpmath.mpf(nu)
-        half = mpmath.mpf(x) / 2
-        stop = mpmath.mpf(10) ** (-(digits - 6))
-        iplus, n1 = _besseli_series_mp(mnu, half, stop)
-        iminus, n2 = _besseli_series_mp(-mnu, half, stop)
-        value = mpmath.pi * (iminus - iplus) / (2 * mpmath.sin(mpmath.pi * mnu))
+        iplus, n1 = _besseli_series_mp(nu, x, digits)
+        iminus, n2 = _besseli_series_mp(-nu, x, digits)
+        value = mpmath.pi * (iminus - iplus) / (2 * mpmath.sin(mpmath.pi * mpmath.mpf(nu)))
         return float(value), n1 + n2
 
 
 def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
     with mpmath.workdps(digits):
         half = mpmath.mpf(x) / 2
-        stop = mpmath.mpf(10) ** (-(digits - 6))
         finite = mpmath.mpf(0)
         for n in range(order):
             finite += (
@@ -152,25 +157,32 @@ def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
                 * mpmath.power(half, 2 * n - order)
             )
         finite /= 2
-        logh = mpmath.log(half)
+        # coef at scale 2^s, the digammas and log at 2^f, the sum at 2^(s + f + 1);
+        # acc cancels by e^(-2x), so s resolves the absolute floor stop^2
         coef = mpmath.power(half, order) / mpmath.factorial(order)
-        d1 = -mpmath.euler
-        d2 = mpmath.digamma(order + 1)
-        q = half * half
-        acc = mpmath.mpf(0)
+        f = mpmath.mp.prec + 24
+        s = 2 * f - mpmath.mag(coef)
+        c = int(mpmath.ldexp(coef, s))
+        prefactors = (mpmath.log(half), -mpmath.euler, mpmath.digamma(order + 1))
+        logh, d1, d2 = (int(mpmath.ldexp(v, f)) for v in prefactors)
+        fin = int(mpmath.ldexp(abs(finite), s + f + 1))
+        a, b = float(x).as_integer_ratio()
+        ten = 10 ** (digits - 6)
+        acc = 0
         n = 0
         while True:
-            acc += coef * (logh - d1 / 2 - d2 / 2)
-            bound = abs(coef) * (abs(logh) + abs(d1) / 2 + abs(d2) / 2)
-            if n > 2 and bound < stop * (abs(acc) + abs(finite) + stop):
+            acc += c * (2 * logh - d1 - d2)
+            bound = c * (2 * abs(logh) + abs(d1) + abs(d2))
+            # bound < stop (|acc| + |finite| + stop) with stop = 1 / ten
+            if n > 2 and bound * ten * ten < (abs(acc) + fin) * ten + (1 << (s + f + 1)):
                 break
             n += 1
-            coef = coef * q / (n * (order + n))
-            d1 += mpmath.mpf(1) / n
-            d2 += mpmath.mpf(1) / (order + n)
+            c = c * a * a // (4 * b * b * n * (order + n))
+            d1 += (1 << f) // n
+            d2 += (1 << f) // (order + n)
             if n > _MAX_TERMS:
                 raise RuntimeError("series failed to terminate")
-        value = finite + (-1) ** (order + 1) * acc
+        value = finite + (-1) ** (order + 1) * mpmath.ldexp(acc, -(s + f + 1))
         return float(value), n + 1 + order
 
 
@@ -179,8 +191,9 @@ def bessel_k(nu: float, x: float) -> SeriesResult:
 
     Orders within 1e-6 of an integer use the logarithmic integer-order
     series; all others use the reflection form.  Both are evaluated in
-    escalated precision, so the returned double is correctly rounded up to
-    a ~1e-15 relative margin, which the tail bound reports.
+    escalated precision, their terms as integers scaled by 2^prec, so the
+    returned double is correctly rounded up to a ~1e-15 relative margin,
+    which the tail bound reports.
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x}")
@@ -226,13 +239,14 @@ def _panel_cutoff(nu: float, xmin: float) -> float:
         return xmin * (math.cosh(t) - 1.0) - nu * t
 
     t_star = math.asinh(nu / xmin) if nu > 0 else 0.0
-    target = h(t_star) + 46.0
     t = t_star + 1.0
-    while h(t) < target:
-        t += 0.5
-        if t > 1000.0:
-            raise RuntimeError("integrand cutoff search failed")
-    return math.ceil(2.0 * t) / 2.0
+    try:
+        target = h(t_star) + 46.0
+        while h(t) < target:
+            t += 0.5
+        return math.ceil(2.0 * t) / 2.0
+    except OverflowError:  # cosh(t) or nu / xmin past the double range
+        raise ValueError(f"the K_{nu} integrand at x = {xmin} decays beyond the double range of cosh") from None
 
 
 def _k_bucket(anu: float, xb: np.ndarray) -> np.ndarray:

@@ -314,7 +314,7 @@ def _reference_accumulate(dim, rows, cols, vals):
         sums.real = np.bincount(where, vals.real, len(keys))
         sums.imag = np.bincount(where, vals.imag, len(keys))
     else:
-        sums = np.bincount(where, vals, len(keys))
+        sums = np.bincount(where, vals, len(keys)).astype(np.float64, copy=False)  # float64 when empty too
     keep = sums != 0
     return keys[keep] % dim, keys[keep] // dim, sums[keep]
 
@@ -376,6 +376,19 @@ def test_sums_and_products_match_the_unique_grouping_bit_for_bit(pair):
         for array, expected in zip((got.rows, got.cols, got.vals), want):
             assert array.dtype == expected.dtype
             assert array.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SparseOperator.zero(4), lambda: SparseOperator.from_entries(4, []),
+     lambda: SparseOperator.from_entries(4, [(1, 2, 0.5), (1, 2, -0.5)])],
+    ids=["zero", "no-entries", "cancelled"],
+)
+def test_empty_operators_store_float_values(make):
+    op = make()
+    assert op.nnz == 0
+    assert op.vals.dtype == np.float64
+    assert (op @ op).vals.dtype == (op + op).vals.dtype == np.float64
 
 
 def test_from_entries_accumulates():

@@ -1,7 +1,8 @@
 """Golden CLI outputs: the sha256 of stdout for pinned runs of each engine subcommand.
 
 The hashes pin every generator matrix, the basis table, the zero-mode
-report, the triple relations and the b2- oracle byte for byte.
+report, the triple relations, the b2- oracle and the Bessel series values
+with their term counts byte for byte.
 ``verify-all`` is hashed without its runtime_seconds column and its
 total_runtime_seconds line, which are wall-clock times.  Outputs that go
 through BLAS or LAPACK (norms, inner products, the SVD of the kernel
@@ -111,6 +112,70 @@ GOLDEN = {
         "8210bcd1b1fd96674720ffb4eb2f8f56d9670ddd16e3f6c65e881be4575f3b3f",
     "b2-elements --p 2.5 --j 1 --k 2 --nmax 57 --alpha 0.7,0.2 --alpha-prime 0.3,-0.5":
         "7c2f9667ca97f8ae8507f42215cfa8da50dfb66f2cb40eb16654c168bb5da59c",
+    "bessel --kind k --nu 0 --x 50 --format csv":
+        "8c00ca6c7468c482ac97698d6a5d0b0b36a6cafb3c8b4926f055fc5641fa4ef2",
+    "bessel --kind k --nu 0 --x 50 --format json":
+        "b1ad2f10a3c6364d49cf226902cd18b770e2b81c082e576a52980943e16fe929",
+    "bessel --kind k --nu 0 --x 0.1 --format csv":
+        "df92cebc2546e992fe04a98e2992509db8ec6d19535531e1ded96d45ad7f4073",
+    "bessel --kind k --nu 0 --x 0.1 --format json":
+        "9d1732c898036fcbac706bf63dd3fe8ba0b76cc199a306197676213ca6d00376",
+    "bessel --kind k --nu 3 --x 0.1 --format csv":
+        "0c729012c245abb406021659312e0dcf7d3e1da12c0c4b77f4cf1daa2f0aac5f",
+    "bessel --kind k --nu 3 --x 0.1 --format json":
+        "1261f3b516fb8ac3584a9568f6127596b5ae13018b7a272f10e4ef85d1a23151",
+    "bessel --kind k --nu 3 --x 20 --format csv":
+        "4e2ca4d1455851542f0e7d56fb69f9352b85e8713e98b7be04006c8070b4c9c1",
+    "bessel --kind k --nu 3 --x 20 --format json":
+        "c220ab7988147d6564cddf13d01b244fdbbabf3d4aa2c3c7eb4c979f0d83b29c",
+    "bessel --kind k --nu 60 --x 0.1 --format csv":
+        "912da4db62d98c20660d26bcb5f95fb0508740dc49cbecfa6de5ca8b6f00283e",
+    "bessel --kind k --nu 60 --x 0.1 --format json":
+        "5a057432fd9c539b24dc1a1a2ff191fe694f0a52969ae56bbd26a4b922c1f745",
+    "bessel --kind k --nu 60 --x 50 --format csv":
+        "a70b8bc4085e20f45ae4c59bb4ef135378db8683d3cc3bc5b3d8c3f9b120e2f9",
+    "bessel --kind k --nu 60 --x 50 --format json":
+        "d6b19e2b743e6bb115d29f7eb16b34085ba46424be62de8a3f60a224292c2b7f",
+    "bessel --kind k --nu 2.000005 --x 5 --format csv":
+        "c89b01bd66e74640678b23b628e718e7d438b92f7e32074e3ed838a8bd26e87e",
+    "bessel --kind k --nu 2.000005 --x 5 --format json":
+        "af70e52c9b7e1781075889fd9306a327b9152b0ddc8aada2f505e16551ee52a0",
+    "bessel --kind k --nu 2.000005 --x 50 --format csv":
+        "d7cab90247e25961b79256fe68d707c5bf83fa0d0c39d9340a7c2dae3fc06dab",
+    "bessel --kind k --nu 2.000005 --x 50 --format json":
+        "e813e553afcb3807b6100ebce40a88783b75f859c561ad53aaba6fe8e1886a39",
+    "bessel --kind k --nu 0.3 --x 1 --format csv":
+        "0b72a9555bf13ead4ecd6d7c00b15b2df71b65ca7cba03431f691e2ae2ba9b5d",
+    "bessel --kind k --nu 0.3 --x 1 --format json":
+        "73b598b1a9831f254378f3dd6e1e1499d69dfab80db8b48c46897ac11e84eeb4",
+    "bessel --kind k --nu 12.7 --x 35 --format csv":
+        "d35917f839aa0c73182df49eccfd76b758db1614585e2312e5a0aceec7d94a59",
+    "bessel --kind k --nu 12.7 --x 35 --format json":
+        "8091954c1bae86bd55368f0199f61b7c16b01625bb6744093646b3ca8aa65cd7",
+    "bessel --kind k --nu 59.5 --x 50 --format csv":
+        "c02faf7a0d23cd162f76e3dc6b2db1a08432f33a23e86149b9f6b1df89357f7e",
+    "bessel --kind k --nu 59.5 --x 50 --format json":
+        "6bbe4edccf778499047c1db8334f124a79e50169d914c3f2f5b94c6cf476d1be",
+    "bessel --kind k --nu 59.5 --x 0.1 --format csv":
+        "1a6a65f81169dc1daaef9d5fec83377a2a559f8afe5f2252987c3a3184344d37",
+    "bessel --kind k --nu 59.5 --x 0.1 --format json":
+        "a178a9173c0debb88ef8dff87705ac076ff06f7ee46ec61b2f6ae5d3c149e21a",
+    "bessel --kind i --nu 0 --x 0.1 --format csv":
+        "bf697aa76c35f856bdb4067f284da578d80917814ef8d193f4c11baf3c65e2b6",
+    "bessel --kind i --nu 0 --x 0.1 --format json":
+        "23d074b0d236955acceb39fafe01151ddaec0a3cd658768ef87dfdeb0cfede30",
+    "bessel --kind i --nu 3 --x 20 --format csv":
+        "e7f8b94106980c827c5a9bb86318e693655078ed13ceb3534af9598e84a6b5d2",
+    "bessel --kind i --nu 3 --x 20 --format json":
+        "8cbd649448b0bb50d649a6ac44e80d16403743c50a241c203550d3db5d8d529e",
+    "bessel --kind i --nu 12.7 --x 50 --format csv":
+        "db061d757c752b6a7cd4e9b738918fda8e5e03a00abbc7d3e8661c176dfda5aa",
+    "bessel --kind i --nu 12.7 --x 50 --format json":
+        "9a4da21b6730e039c072e2c759205b73f9d32f1874f5b631f1b873cdc6202369",
+    "bessel --kind i --nu 59.5 --x 1 --format csv":
+        "6fa20cb68ae55f020e426879d5256e5151c61daaf4b8c911d1b22fe789f63f13",
+    "bessel --kind i --nu 59.5 --x 1 --format json":
+        "5b4c752729136065f98b1e616e27da8dea75926aa0c5c7e9102638e0177a20b3",
     "verify-all":
         "a5ab2e93f9bd4f079a3db2ad4ea25fdad4dd0848687bc4953656990982f6f1f6",
 }

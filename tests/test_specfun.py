@@ -11,6 +11,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock import (
     bessel_i,
@@ -20,6 +22,7 @@ from parafock import (
     besselk_values,
     hyp0f1,
     measure,
+    specfun,
 )
 
 ORACLE_REL_TOL = 1e-12
@@ -197,6 +200,19 @@ def test_k_grid_routes_reject_non_finite_input(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "nu, x", [(0.5, 5e-324), (0.5, 1e-310), (1e300, 1e-300), (0.5, 1e-307), (0.0, 5e-324)],
+    ids=["nu-over-subnormal", "nu-over-x-overflows", "huge-order", "cosh-overflows", "order-zero-subnormal"],
+)
+def test_k_grid_routes_reject_integration_ranges_past_cosh(nu, x):
+    with pytest.raises(ValueError, match="double range"):
+        besselk_values(nu, [x])
+    with pytest.raises(ValueError, match="double range"):
+        bessel_k_oracle(nu, x)  # K_nu at 2x
+    # just inside: K_0.5(x) = sqrt(pi / (2x)) e^-x
+    assert besselk_values(0.5, [1e-305])[0] == pytest.approx(math.sqrt(math.pi / 2e-305), rel=1e-10)
+
+
 @pytest.mark.parametrize("nu", [169.0, 200.0, 1e4, 1e300])
 def test_k_grid_routes_reject_values_past_the_double_range(nu):
     with warnings.catch_warnings():
@@ -207,3 +223,100 @@ def test_k_grid_routes_reject_values_past_the_double_range(nu):
             bessel_k_oracle(nu, 0.5)
     # no flat order cap: the radial grids need orders above the series routes' 60
     assert 0 < bessel_k_oracle(140.0, 0.5) < math.inf
+
+
+# Reference: the mpf term loops that the scaled-integer series of bessel_k
+# replaced, with their arithmetic unchanged, so the two can be compared bit
+# for bit.
+
+
+def _ref_besseli_series_mp(mu, half_z, stop):
+    term = mp.power(half_z, mu) / mp.gamma(mu + 1)
+    total = term
+    q = half_z * half_z
+    n = 0
+    while True:
+        n += 1
+        term = term * q / (n * (mu + n))
+        total += term
+        if abs(term) < stop * abs(total):
+            return total, n
+
+
+def _ref_bessel_k_reflection(nu, x, digits):
+    with mp.workdps(digits):
+        mnu = mp.mpf(nu)
+        half = mp.mpf(x) / 2
+        stop = mp.mpf(10) ** (-(digits - 6))
+        iplus, n1 = _ref_besseli_series_mp(mnu, half, stop)
+        iminus, n2 = _ref_besseli_series_mp(-mnu, half, stop)
+        value = mp.pi * (iminus - iplus) / (2 * mp.sin(mp.pi * mnu))
+        return float(value), n1 + n2
+
+
+def _ref_bessel_k_integer(order, x, digits):
+    with mp.workdps(digits):
+        half = mp.mpf(x) / 2
+        stop = mp.mpf(10) ** (-(digits - 6))
+        finite = mp.mpf(0)
+        for n in range(order):
+            finite += (-1) ** n * mp.factorial(order - n - 1) / mp.factorial(n) * mp.power(half, 2 * n - order)
+        finite /= 2
+        logh = mp.log(half)
+        coef = mp.power(half, order) / mp.factorial(order)
+        d1 = -mp.euler
+        d2 = mp.digamma(order + 1)
+        q = half * half
+        acc = mp.mpf(0)
+        n = 0
+        while True:
+            acc += coef * (logh - d1 / 2 - d2 / 2)
+            bound = abs(coef) * (abs(logh) + abs(d1) / 2 + abs(d2) / 2)
+            if n > 2 and bound < stop * (abs(acc) + abs(finite) + stop):
+                break
+            n += 1
+            coef = coef * q / (n * (order + n))
+            d1 += mp.mpf(1) / n
+            d2 += mp.mpf(1) / (order + n)
+        value = finite + (-1) ** (order + 1) * acc
+        return float(value), n + 1 + order
+
+
+def _routes(nu, x):
+    """(new, reference) route outputs (value, terms) for the order bessel_k would pick."""
+    anu = abs(nu)
+    delta = abs(anu - round(anu))
+    digits = specfun._working_digits(x, delta)
+    if delta <= specfun._INTEGER_ORDER_MARGIN:
+        args = (round(anu), x, digits)
+        return specfun._bessel_k_integer(*args), _ref_bessel_k_integer(*args)
+    args = (anu, x, digits)
+    return specfun._bessel_k_reflection(*args), _ref_bessel_k_reflection(*args)
+
+
+def _assert_same_bits(nu, x):
+    (value, terms), (ref_value, ref_terms) = _routes(nu, x)
+    assert (value.hex(), terms) == (ref_value.hex(), ref_terms), (nu, x)
+
+
+_ORDERS = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.builds(
+        lambda n, sign, offset: n + sign * offset,
+        st.integers(0, 60),
+        st.sampled_from((-1.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(1.01e-6, 1e-2)),
+    ).filter(lambda nu: abs(nu) <= 60.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=_ORDERS, x=st.floats(0.0, 50.0, exclude_min=True))
+def test_scaled_integer_series_match_the_mpf_loops_bit_for_bit(nu, x):
+    _assert_same_bits(nu, x)
+
+
+@pytest.mark.parametrize("nu, x", [(0.0, 50.0), (60.0, 0.01), (59.5, 50.0), (2.000005, 50.0), (0.3, 5e-324)])
+def test_scaled_integer_series_at_the_envelope_edges(nu, x):
+    # K_0(50) is where an integer-order scale taken from the leading term stops early
+    _assert_same_bits(nu, x)
