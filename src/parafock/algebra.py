@@ -4,9 +4,9 @@ The four odd generators act on a Gelfand-Zetlin pattern by moving one of
 m12, m22 up or down by one while m11 follows the mode index; every matrix
 element is a square root of an integer times one of two structure
 coefficients.  Each generator is built in one vectorized pass over the
-labels of a sorted column set, the whole basis or only the columns an
-oracle touches: a move whose target is outside the basis (``find`` gives
--1) is skipped, so the builders never store zeros.  Each whole-basis
+labels of a sorted column set, the whole basis or one h2 sector for the
+oracles: a move whose target is outside the basis (``find`` gives -1) is
+skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
 operator arrays are read-only.
 """
@@ -259,6 +259,21 @@ def _assemble(basis: FockBasis, name: str, columns: np.ndarray) -> SparseOperato
     # one nonzero term per (row, col), so only a sort is left: it merges two sorted runs
     order = np.argsort(cols * basis.size + rows, kind="stable")
     return SparseOperator(basis.size, rows[order], cols[order], vals[order])
+
+
+def _h2_sector(basis: FockBasis, name: str, k: int) -> tuple[np.ndarray, SparseOperator]:
+    """Sorted indices of the h2 = p/2 + k patterns and the generator on them, built once per basis.
+
+    The sector is the patterns (m11 + k - m22, m22; m11).  b1+ and b1- keep
+    h2 = m12 + m22 - m11 and b2- lowers it by one, so a ladder or a weight
+    block read from the sector's operator never needs a column outside it.
+    """
+    if (name, k) not in basis.cache:
+        m11, m22 = np.arange(basis.cutoff + 1), np.arange(k + 1)[:, None]
+        found = basis.find(m11 + k - m22, m22, m11)
+        columns = np.sort(found[found >= 0])
+        basis.cache[name, k] = columns, _assemble(basis, name, columns)
+    return basis.cache[name, k]
 
 
 def bracket(a: SparseOperator, b: SparseOperator, kind: str, columns=None) -> SparseOperator:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .fockspace import FockBasis, FockVector, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, _require_integers, even_ind, odd_ind
 from .specfun import bessel_i, hyp0f1
-from .zeromodes import _validate_family, ladder_rungs, ladder_step
+from .zeromodes import _scatter, _validate_family, ladder_rungs, ladder_step
 
 _ALPHA_MAX = 5.0
 _NMAX_CAP = 200
@@ -201,17 +201,9 @@ def _ladder_terms(coeffs: np.ndarray, rungs) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([c * values for c, (_, values) in pairs]))
 
 
-def _ladder_sum(basis: FockBasis, coeffs: np.ndarray, rungs) -> np.ndarray:
-    """Sum of coeffs[n] times rung n on the whole basis."""
-    acc = np.zeros(basis.size, dtype=np.complex128)
-    index, values = _ladder_terms(coeffs, rungs)
-    acc[index] += values
-    return acc
-
-
 def to_fock_vector(basis: FockBasis, s: CoherentState) -> FockVector:
     """Assemble the state on a pattern basis; needs cutoff >= k + j + nmax."""
-    return FockVector(basis, _ladder_sum(basis, s.coeffs, ladder_rungs(basis, s.j, s.k, s.nmax)))
+    return _scatter(basis, *_ladder_terms(s.coeffs, ladder_rungs(basis, s.j, s.k, s.nmax)))
 
 
 def b2_element(
@@ -227,8 +219,7 @@ def b2_element(
     _validate_family(j, k, p)
     if k < 1:
         raise ValueError(f"need k >= 1 so the target family at k - 1 exists, got k = {k}")
-    if not isinstance(jp, (int, np.integer)):
-        raise TypeError(f"jp must be an integer, got {jp!r}")
+    _require_integers(jp=jp)
     alpha = complex(alpha)
     alpha_prime = complex(alpha_prime)
     if not (abs(alpha) <= _ALPHA_MAX and abs(alpha_prime) <= _ALPHA_MAX):
@@ -269,25 +260,20 @@ def b2_element_oracle(
     """Matrix-engine value of the b2- element, independent of the closed forms.
 
     Both states are assembled rung by rung on the pattern basis and the
-    generator matrix is applied directly, built on the ket ladder's rungs
-    only and kept in ``basis.cache`` next to it.  Truncation error is bounded by
-    the product of the coefficient tails, far below the closed-form
-    comparison tolerances for any nmax past the decay point.
+    generator matrix is applied directly to the ket's rungs.  It is built on
+    the ket's h2 = p/2 + k patterns only, once per basis and k, and kept in
+    ``basis.cache``.  Truncation error is bounded by the product of the
+    coefficient tails, far below the closed-form comparison tolerances for
+    any nmax past the decay point.
     """
     if k < 1 or not (0 <= jp <= k - 1):
         raise ValueError(f"target family (jp, k-1) = ({jp}, {k - 1}) does not exist")
-    bra = build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax)
-    bra_rungs = ladder_rungs(basis, jp, k - 1, nmax)
+    bra = to_fock_vector(basis, build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax))
     ket = build_coherent(basis.p, j, k, alpha, nmax=nmax)
     support, values = _ladder_terms(ket.coeffs, ladder_rungs(basis, j, k, nmax))
-    key = ("b2- on ladder", j, k, nmax)
-    if key not in basis.cache:
-        basis.cache[key] = algebra._assemble(basis, "b2-", support)
-    rows, values = basis.cache[key].apply_on(support, values)
-    image = np.zeros(basis.size, dtype=np.complex128)
-    image[rows] = values
+    _, lowering = algebra._h2_sector(basis, "b2-", k)
     # full-size vectors: a vdot over compacted ones changes the last bits
-    return FockVector(basis, _ladder_sum(basis, bra.coeffs, bra_rungs)).inner(FockVector(basis, image))
+    return bra.inner(_scatter(basis, *lowering.apply_on(support, values)))
 
 
 @dataclass(frozen=True, eq=False)

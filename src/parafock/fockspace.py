@@ -28,6 +28,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
+def _require_integers(minimum=None, **labels) -> None:
+    """TypeError unless each label is an int or numpy integer, not a bool; ValueError below ``minimum``."""
+    for name, value in labels.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"need {name} >= {minimum}, got {name} = {value}")
+
+
 def even_ind(n):
     """Indicator of n being even, extended to negative integers mod 2; accepts arrays."""
     return 1 - (n % 2)
@@ -54,10 +63,7 @@ class GZPattern:
     m11: int
 
     def __post_init__(self) -> None:
-        for name in ("m12", "m22", "m11"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        _require_integers(m12=self.m12, m22=self.m22, m11=self.m11)
         if not (self.m12 >= self.m11 >= self.m22 >= 0):
             raise ValueError(
                 f"betweenness violated: need m12 >= m11 >= m22 >= 0, "
@@ -87,8 +93,9 @@ class FockBasis:
     Ordering is ascending in (degree, m12, m11), so index 0 is the vacuum
     pattern (0, 0; 0) and all states of equal degree are contiguous.  Row
     (m12, m22) holds m11 = m22 .. m12 at indices from ``row_start[m12, m22]``,
-    which only ``find`` reads.  ``cache`` keeps the generators and ladders
-    built on the basis; they are freed with it.
+    which only ``find`` reads.  ``cache`` keeps what is built on the basis and
+    is freed with it: whole generators by name, (sorted columns, generator)
+    pairs of one h2 sector by (name, k), and ladders by ("ladder", j, k, nmax).
     """
 
     p: float
@@ -143,8 +150,7 @@ def enumerate_basis(p: float, cutoff: int) -> FockBasis:
     """
     if not 1 < p <= P_MAX:
         raise ValueError(f"representation parameter must satisfy 1 < p <= {P_MAX:g}, got {p}")
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
-        raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
+    _require_integers(cutoff=cutoff)
     if not 0 <= cutoff <= CUTOFF_MAX:
         raise ValueError(f"cutoff must satisfy 0 <= cutoff <= {CUTOFF_MAX}, got {cutoff}")
     cutoff = int(cutoff)

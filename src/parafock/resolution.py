@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fockspace import _require_integers
 from .specfun import besseli_values, besselk_values
 
 _MEASURE_KINDS = ("I", "II")
@@ -35,8 +36,7 @@ def _validate_measure_args(kind: str, p: float, j: int) -> float:
         raise ValueError(f"kind must be 'I' or 'II', got {kind!r}")
     if not p > 1:
         raise ValueError(f"need p > 1, got {p}")
-    if not isinstance(j, (int, np.integer)) or j < 0:
-        raise ValueError(f"j must be a nonnegative integer, got {j!r}")
+    _require_integers(0, j=j)
     q = p / 2.0 + j
     if q > _Q_MAX:
         raise ValueError(f"p/2 + j = {q} outside the operating range (max {_Q_MAX})")
@@ -153,8 +153,9 @@ def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL, store=None
     sequence, so grids given one K bucket ``store`` share all but their top bucket.
     """
     q = _validate_measure_args("I", p, j)
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    _require_integers(0, n_max=n_max)
+    if n_max > _NCHECK_MAX:
+        raise ValueError(f"n_max {n_max} outside the operating range (max {_NCHECK_MAX})")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     x_top = _tail_cutoff(q, int(n_max), tol)
@@ -166,8 +167,7 @@ def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL, store=None
 def stieltjes_closed_form(kind: str, p: float, j: int, n: int) -> float:
     """Gamma-product value of the n-th radial power moment of F_I or F_II."""
     q = _validate_measure_args(kind, p, j)
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _require_integers(0, n=n)
     if n > _MOMENT_N_MAX:
         raise ValueError(f"moment order {n} outside the operating range (max {_MOMENT_N_MAX})")
     if kind == "I":
@@ -184,8 +184,7 @@ def stieltjes_moment(
     the kind-II one carries one more power of x and order q.
     """
     q = _validate_measure_args(kind, p, j)
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _require_integers(0, n=n)
     if n > _MOMENT_N_MAX:
         raise ValueError(f"moment order {n} outside the operating range (max {_MOMENT_N_MAX})")
     if grid is None:
@@ -293,8 +292,7 @@ def resolution_identity_check(
     q = _validate_measure_args("I", p, j)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not isinstance(n_check, (int, np.integer)) or n_check < 0:
-        raise ValueError(f"n_check must be a nonnegative integer, got {n_check!r}")
+    _require_integers(0, n_check=n_check)
     if n_check > _NCHECK_MAX:
         raise ValueError(f"n_check {n_check} outside the operating range (max {_NCHECK_MAX})")
     if not tol > 0:

@@ -23,7 +23,7 @@ from .algebra import (
     verify_triple_relations,
 )
 from .coherent import (
-    _ladder_sum,
+    _ladder_terms,
     b2_element,
     b2_element_oracle,
     bicoherent,
@@ -40,6 +40,7 @@ from .resolution import (
 )
 from .specfun import bessel_i, bessel_k, bessel_k_oracle
 from .zeromodes import (
+    _scatter,
     b2sq_shift,
     kernel_oracle,
     ladder_rungs,
@@ -71,19 +72,18 @@ def _bases(p_grid=P_GRID, cutoff: int = 8) -> tuple[FockBasis, ...]:
     return tuple(enumerate_basis(p, cutoff) for p in p_grid)
 
 
-def check_triple_relations(bases=None, tol: float = 1e-12) -> CheckResult:
+def check_triple_relations(bases=None) -> CheckResult:
     """All 64 triple relations on the interior of each basis (default: P_GRID at cutoff 8)."""
     t0 = time.perf_counter()
     bases = _bases() if bases is None else bases
     worst = 0.0
     for basis in bases:
-        report = verify_triple_relations(basis, tol=tol)
-        worst = max(worst, report.max_deviation)
+        worst = max(worst, verify_triple_relations(basis).max_deviation)
     detail = f"64 relations, p in {tuple(b.p for b in bases)}, cutoff {bases[0].cutoff}"
-    return _finish("triple_relations", worst, tol, detail, t0)
+    return _finish("triple_relations", worst, 1e-12, detail, t0)
 
 
-def check_adjointness(bases=None, tol: float = 1e-12) -> CheckResult:
+def check_adjointness(bases=None) -> CheckResult:
     """adjoint(b_j+) = b_j- on the truncated matrices and {b_j-, b_j+} = 2 h_j on interior.
 
     ``bases`` defaults to P_GRID at cutoff 8.
@@ -96,38 +96,37 @@ def check_adjointness(bases=None, tol: float = 1e-12) -> CheckResult:
         worst_adj = max(worst_adj, adjointness_deviation(basis))
         worst_pair = max(worst_pair, pair_anticommutator_deviation(basis))
     detail = f"adjoint dev {worst_adj:.3e}, pair anticommutator dev {worst_pair:.3e}"
-    return _finish("adjointness", max(worst_adj, worst_pair), tol, detail, t0)
+    return _finish("adjointness", max(worst_adj, worst_pair), 1e-12, detail, t0)
 
 
-def check_zero_modes(p_grid=P_GRID, jk_max: int = 10, tol: float = 1e-12) -> CheckResult:
-    """Normalization and annihilation of every zero mode, plus kernel dimensions."""
+def check_zero_modes(p_grid=P_GRID) -> CheckResult:
+    """Normalization and annihilation of every zero mode with j <= k <= 10, plus kernel dimensions."""
     t0 = time.perf_counter()
-    cutoff = 2 * jk_max
     worst = 0.0
     dims_ok = True
     for p in p_grid:
-        basis = enumerate_basis(p, cutoff)
+        basis = enumerate_basis(p, 20)
         b1m = build_generator(basis, "b1-")
-        for j in range(jk_max + 1):
-            for k in range(j, jk_max + 1):
+        for j in range(11):
+            for k in range(j, 11):
                 coeffs = zero_mode_coeffs(j, k, p)
                 worst = max(worst, abs(float(np.dot(coeffs, coeffs)) - 1.0))
                 vec = zero_mode_vector(basis, j, k)
                 worst = max(worst, b1m.apply(vec).norm())
-        for j in range(jk_max + 1):
-            for k in range(jk_max + 1):
+        for j in range(11):
+            for k in range(11):
                 dim, _ = kernel_oracle(basis, j, k)
                 if dim != (1 if j <= k else 0):
                     dims_ok = False
     dev = worst if dims_ok else math.inf
-    detail = f"0 <= j,k <= {jk_max}, kernel dims {'correct' if dims_ok else 'WRONG'}"
-    return _finish("zero_modes", dev, tol, detail, t0)
+    detail = f"0 <= j,k <= 10, kernel dims {'correct' if dims_ok else 'WRONG'}"
+    return _finish("zero_modes", dev, 1e-12, detail, t0)
 
 
-def _norm_states(p_grid):
+def _norm_states():
     """The pinned coherent-state family shared by the norm and residual suites."""
     states = []
-    for p in p_grid:
+    for p in P_GRID:
         for j in range(5):
             for mag in (0.3, 1.0, 2.0, 4.0):
                 for alpha in (complex(mag), mag * complex(math.cos(0.7), math.sin(0.7))):
@@ -135,12 +134,12 @@ def _norm_states(p_grid):
     return states
 
 
-def check_coherent_norms(p_grid=P_GRID, tol: float = 1e-10) -> CheckResult:
+def check_coherent_norms() -> CheckResult:
     """Bessel, hypergeometric, and coefficient-sum norm routes agree pairwise."""
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
-    for s in _norm_states(p_grid):
+    for s in _norm_states():
         routes = (
             coherent_norm(s.p, s.j, s.alpha),
             coherent_norm_series(s.p, s.j, s.alpha),
@@ -152,24 +151,24 @@ def check_coherent_norms(p_grid=P_GRID, tol: float = 1e-10) -> CheckResult:
                 worst = max(worst, abs(routes[a] - routes[b]) / scale)
         count += 1
     detail = f"{count} states, |alpha| in (0.3, 1, 2, 4), j <= 4"
-    return _finish("coherent_norms", worst, tol, detail, t0)
+    return _finish("coherent_norms", worst, 1e-10, detail, t0)
 
 
-def check_eigen_residuals(p_grid=P_GRID, tol: float = 1e-14) -> CheckResult:
+def check_eigen_residuals() -> CheckResult:
     """The b1- eigen-residual equals |alpha| |a_top| up to scaled representation rounding."""
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
-    for s in _norm_states(p_grid):
+    for s in _norm_states():
         residual, top = eigen_residual(s)
         scale = max(1.0, abs(s.alpha) * math.sqrt(s.norm_squared()))
         worst = max(worst, abs(residual - top) / scale)
         count += 1
     detail = f"{count} states, deviation scaled by max(1, |alpha| * state norm)"
-    return _finish("eigen_residuals", worst, tol, detail, t0)
+    return _finish("eigen_residuals", worst, 1e-14, detail, t0)
 
 
-def check_b2_elements(tol: float = 1e-8) -> CheckResult:
+def check_b2_elements() -> CheckResult:
     """Closed-form b2- matrix elements against the matrix-engine oracle.
 
     Covers the three adjacent target families, the forced zeros at
@@ -207,10 +206,10 @@ def check_b2_elements(tol: float = 1e-8) -> CheckResult:
             sweep(basis, j, k, [j])
 
     detail = f"{count} elements, p in (2, 2.5, 3), j <= 2, k <= 4, incl. forced zeros"
-    return _finish("b2_elements", worst, tol, detail, t0)
+    return _finish("b2_elements", worst, 1e-8, detail, t0)
 
 
-def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
+def check_bicoherent() -> CheckResult:
     """Squared-shift scalars against the matrix engine, then bicoherent residual bounds.
 
     Deviations are reported in units of their own tolerance: 1e-12 for the
@@ -223,7 +222,7 @@ def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
     worst = 0.0
 
     scalar_cut = 10
-    for p in p_grid:
+    for p in P_GRID:
         basis = enumerate_basis(p, scalar_cut)
         b2m = build_generator(basis, "b2-")
         b2p = build_generator(basis, "b2+")
@@ -243,7 +242,7 @@ def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
                 worst = max(worst, dev_down / 1e-12)
 
     kmax = 12
-    for p in p_grid:
+    for p in P_GRID:
         for j in (0, 1):
             for l in (j, j + 1):
                 for alpha in (complex(1.2), 0.9 + 0.9j):
@@ -271,7 +270,8 @@ def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
     basis = enumerate_basis(p, cutoff)
     # the components live in disjoint weight spaces, so summing them adds no rounding
     psi = FockVector(basis, sum(
-        _ladder_sum(basis, state.prefactors[kk] * base.coeffs, ladder_rungs(basis, j, 2 * kk + l, nmax))
+        _scatter(basis, *_ladder_terms(state.prefactors[kk] * base.coeffs,
+                                       ladder_rungs(basis, j, 2 * kk + l, nmax))).coefficients
         for kk in range(kmax + 1)
     ))
     psi_norm = psi.norm()
@@ -290,10 +290,10 @@ def check_bicoherent(p_grid=P_GRID, tol: float = 1.0) -> CheckResult:
     worst = max(worst, r_b2 / (r_b2_stated * (1.0 + 1e-6) + 1e-12))
 
     detail = "shift scalars at 1e-12; residual bounds at kmax 12 incl. matrix assembly"
-    return _finish("bicoherent", worst, tol, detail, t0)
+    return _finish("bicoherent", worst, 1.0, detail, t0)
 
 
-def check_bessel_forms(tol: float = 1.0) -> CheckResult:
+def check_bessel_forms() -> CheckResult:
     """Each K route against the integral oracle, seam continuity, elementary orders.
 
     Generic orders use the reflection form, integer orders the logarithmic
@@ -339,16 +339,16 @@ def check_bessel_forms(tol: float = 1.0) -> CheckResult:
         worst = max(worst, abs(k_half - k_exact) / k_exact / 1e-12)
 
     detail = "forms vs oracle at 1e-8, seam continuity at 1e-4, elementary at 1e-12"
-    return _finish("bessel_forms", worst, tol, detail, t0)
+    return _finish("bessel_forms", worst, 1.0, detail, t0)
 
 
-def check_stieltjes_moments(p_grid=P_GRID, tol: float = 1e-8, store=None) -> CheckResult:
+def check_stieltjes_moments(store=None) -> CheckResult:
     """Quadrature moments of F_I and F_II against the gamma-product closed forms."""
     t0 = time.perf_counter()
     store = {} if store is None else store
     worst = 0.0
     count = 0
-    for p in p_grid:
+    for p in P_GRID:
         for j in range(4):
             grid = radial_grid(p, j, 5, store=store)
             for kind in ("I", "II"):
@@ -356,11 +356,11 @@ def check_stieltjes_moments(p_grid=P_GRID, tol: float = 1e-8, store=None) -> Che
                     report = stieltjes_moment_check(kind, p, j, n, grid=grid)
                     worst = max(worst, report.rel_err)
                     count += 1
-    detail = f"{count} moments, n <= 5, j <= 3, p in {p_grid}"
-    return _finish("stieltjes_moments", worst, tol, detail, t0)
+    detail = f"{count} moments, n <= 5, j <= 3, p in {P_GRID}"
+    return _finish("stieltjes_moments", worst, 1e-8, detail, t0)
 
 
-def check_resolution_identity(tol: float = 1.0, store=None) -> CheckResult:
+def check_resolution_identity(store=None) -> CheckResult:
     """Both decompositions of unity reproduce the identity matrix on 11 rungs.
 
     Deviations from delta are held to 1e-6, the two modes to 1e-10
@@ -384,7 +384,7 @@ def check_resolution_identity(tol: float = 1.0, store=None) -> CheckResult:
     if not positive:
         worst = math.inf
     detail = "m,n <= 10, p in (1.3, 2, 2.5), j <= 2; identity 1e-6, modes 1e-10, measures positive"
-    return _finish("resolution_identity", worst, tol, detail, t0)
+    return _finish("resolution_identity", worst, 1.0, detail, t0)
 
 
 ALL_CHECKS = (

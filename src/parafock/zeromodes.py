@@ -14,19 +14,14 @@ import math
 import numpy as np
 
 from . import algebra
-from .fockspace import P_MAX, FockBasis, FockVector, even_ind, odd_ind
+from .fockspace import P_MAX, FockBasis, FockVector, _require_integers, even_ind, odd_ind
 
 # singular values at most this times max(1, largest) count as zero in kernel_oracle
 _RANK_TOL = 1e-10
 
 
-def _check_integers(j, k) -> None:
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (j, k)):
-        raise TypeError(f"j and k must be integers, got {j!r}, {k!r}")
-
-
 def _validate_family(j: int, k: int, p: float) -> None:
-    _check_integers(j, k)
+    _require_integers(j=j, k=k)
     if not (0 <= j <= k):
         raise ValueError(f"need 0 <= j <= k, got j = {j}, k = {k}")
     if not 1 < p <= P_MAX:
@@ -81,21 +76,19 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
 
     Returns the kernel dimension and an orthonormal basis of the null space
     embedded in the full space.  This is a formula-free route: it only uses
-    the generator matrix, built on the m11 = j patterns once per basis, and
-    dense linear algebra, so it cross-checks the closed-form coefficients
+    the generator matrix, built on the h2 = p/2 + k patterns once per basis,
+    and dense linear algebra, so it cross-checks the closed-form coefficients
     independently.  ``j > k`` blocks are allowed (their kernel is empty).
     """
-    _check_integers(j, k)
-    if not (0 <= j and 0 <= k):
-        raise ValueError(f"need j, k >= 0, got j = {j}, k = {k}")
+    _require_integers(0, j=j, k=k)
     if k + j > basis.cutoff:
         raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
-    columns, degree, lowering = _sector(basis, j)
-    source = columns[degree == k + j]
+    columns, lowering = algebra._h2_sector(basis, "b1-", k)
+    m11 = basis.m11[columns]
+    source = columns[m11 == j]
     if not source.size:
         return 0, []
-    rows, row_degree, _ = _sector(basis, j - 1)  # empty at j = 0
-    block = lowering.block(rows[row_degree == k + j - 1], source).real
+    block = lowering.block(columns[m11 == j - 1], source).real  # no rows at j = 0
     # with no target rows the SVD returns no singular values and vh = identity
     _, s, vh = np.linalg.svd(block)
     threshold = _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
@@ -105,22 +98,6 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
     full = np.zeros((null_dim, basis.size), dtype=np.complex128)
     full[:, source] = null_vectors.T
     return null_dim, [FockVector(basis, row) for row in full]
-
-
-def _indices(basis: FockBasis, m12, m22, m11) -> np.ndarray:
-    """Sorted indices of the broadcast labels that lie in the basis."""
-    found = basis.find(m12, m22, m11)
-    return np.sort(found[found >= 0])
-
-
-def _sector(basis: FockBasis, j: int) -> tuple:
-    """Sorted indices of the m11 = j patterns, their degrees and b1- on them, built once per basis."""
-    key = ("m11 sector", j)
-    if key not in basis.cache:
-        columns = _indices(basis, np.arange(basis.cutoff + 1), np.arange(j + 1)[:, None], j)
-        degree = basis.m12[columns] + basis.m22[columns]
-        basis.cache[key] = columns, degree, algebra._assemble(basis, "b1-", columns)
-    return basis.cache[key]
 
 
 def ladder_step(p: float, j: int, n: int) -> float:
@@ -167,8 +144,9 @@ def ladder_family(basis: FockBasis, j: int, k: int, nmax: int) -> list[FockVecto
 def ladder_rungs(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
     """Rungs 0..nmax of ``ladder_family`` as (sorted indices, read-only values) pairs.
 
-    Each ladder is walked once per basis and kept in ``basis.cache``, so a
-    later call returns the same objects.
+    Each ladder is walked once per basis with the b1+ of its h2 = p/2 + k
+    sector, which every ladder at that k shares, and kept in ``basis.cache``,
+    so a later call returns the same objects.
     """
     _validate_family(j, k, basis.p)
     if not 0 <= nmax <= basis.cutoff - k - j:
@@ -181,14 +159,11 @@ def ladder_rungs(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
 
 def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
     # later supports are the rows b1+'s own entries reach, not a weight formula;
-    # b1+ is built on the ladder's sector only, so each support must stay inside it
+    # b1+ is built on the ladder's h2 sector only, so each support must stay inside it
     i = np.arange(j + 1)
     rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
     if nmax:
-        # the h2 = p/2 + k patterns (k + m11 - m22, m22; m11) of rungs 0..nmax-1, m11 = j + n
-        m11, m22 = np.arange(j, j + nmax)[:, None], np.arange(k + 1)
-        columns = _indices(basis, k + m11 - m22, m22, m11)
-        raise_op = algebra._assemble(basis, "b1+", columns)
+        columns, raise_op = algebra._h2_sector(basis, "b1+", k)
         for n in range(nmax):
             index, values = raise_op.apply_on(*rungs[-1])
             rungs.append((index, values / ladder_step(basis.p, j, n)))

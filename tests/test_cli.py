@@ -200,6 +200,15 @@ def test_moments_row_count_and_errors():
         assert float(line.split(",")[-1]) <= 1e-8
 
 
+@pytest.mark.parametrize("nmax", ["17", "1000", "1000000"])
+def test_moments_rejects_orders_past_the_grid_envelope(nmax):
+    proc = run_cli("moments", "--p", "2.5", "--j", "0", "--kind", "I", "--nmax", nmax)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parafock: error:")
+
+
 def test_resolution_exit_codes():
     ok = run_cli(
         "resolution", "--p", "2.5", "--j", "0", "--ncheck", "10", "--tol", "1e-6"

@@ -340,10 +340,11 @@ def test_b2_elements_assembles_no_whole_basis_generator(monkeypatch, capsys):
             "--alpha", "0.7,0.2", "--alpha-prime", "0.3,-0.5", "--nmax", "57"]
     assert cli.main(argv) == 0
     assert "# cutoff=60" in capsys.readouterr().out.splitlines()
-    # one b1+ on each ladder's sector and one b2- on the ket ladder, none on the whole basis
-    assert sorted(name for name, _, _ in builds) == ["b1+", "b1+", "b1+", "b2-"]
-    # at most k + 1 = 3 patterns on each of the 58 rungs, out of 39,711
-    assert all(0 < columns <= 3 * 58 < size for _, columns, size in builds)
+    # one b1+ on each h2 sector the ladders climb in (k - 1 = 1 for both bras, k = 2 for
+    # the ket) and one b2- on the ket's sector, none on the whole basis
+    assert sorted(name for name, _, _ in builds) == ["b1+", "b1+", "b2-"]
+    # at most k + 1 = 3 patterns for each of the cutoff + 1 = 61 values of m11, out of 39,711
+    assert all(0 < columns <= 3 * 61 < size for _, columns, size in builds)
     # the ket ladder serves all three jp; each bra ladder is walked once
     assert sorted(walks) == [(0, 1, 57), (1, 1, 57), (1, 2, 57)]
 

@@ -15,8 +15,16 @@ from parafock import (
     enumerate_basis,
     even_ind,
     odd_ind,
+    b2_element,
+    kernel_oracle,
+    measure,
+    radial_grid,
+    resolution_identity_check,
+    stieltjes_closed_form,
+    stieltjes_moment,
     verify,
     weight_of,
+    zero_mode_coeffs,
 )
 
 P_DEFAULT = 2.5
@@ -221,3 +229,27 @@ def test_weight_sum_equals_p_plus_degree(m12, d22, d11, pnum):
     m = GZPattern(m12, m22, m11)
     w = weight_of(m, p)
     assert abs((w.w1 + w.w2) - (p + m.degree)) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GZPattern(True, 0, 0),
+    lambda: enumerate_basis(P_DEFAULT, True),
+    lambda: zero_mode_coeffs(True, 1, P_DEFAULT),
+    lambda: kernel_oracle(enumerate_basis(P_DEFAULT, 4), 0, True),
+    lambda: measure("I", P_DEFAULT, True, 1.0),
+    lambda: radial_grid(P_DEFAULT, True, True),
+    lambda: stieltjes_closed_form("I", P_DEFAULT, True, True),
+    lambda: stieltjes_moment("I", P_DEFAULT, 0, True),
+    lambda: resolution_identity_check(P_DEFAULT, 0, True),
+    lambda: b2_element(P_DEFAULT, True, 0.3, 1, 2, 0.5),
+], ids=["GZPattern", "enumerate_basis", "zero_mode_coeffs", "kernel_oracle", "measure",
+        "radial_grid", "stieltjes_closed_form", "stieltjes_moment", "resolution_identity_check",
+        "b2_element-jp"])
+def test_bools_are_not_integer_labels(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_numpy_integers_are_integer_labels():
+    assert radial_grid(P_DEFAULT, np.int64(0), np.int64(2)).node_count > 0
+    assert b2_element(P_DEFAULT, np.int64(1), 0.3, 1, 2, 0.5) != 0

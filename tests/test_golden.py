@@ -1,8 +1,10 @@
 """Golden CLI outputs: the sha256 of stdout for pinned runs of each engine subcommand.
 
 The hashes pin every generator matrix, the basis table, the zero-mode
-report, the triple relations, the b2- oracle and the Bessel series values
-with their term counts byte for byte.
+report, the triple relations, the b2- oracle, the Bessel series values
+with their term counts, the coherent and cat coefficients, the bicoherent
+residual bounds, the quadrature moments and both resolutions of identity
+byte for byte.
 ``verify-all`` is hashed without its runtime_seconds column and its
 total_runtime_seconds line, which are wall-clock times.  Outputs that go
 through BLAS or LAPACK (norms, inner products, the SVD of the kernel
@@ -176,6 +178,54 @@ GOLDEN = {
         "6fa20cb68ae55f020e426879d5256e5151c61daaf4b8c911d1b22fe789f63f13",
     "bessel --kind i --nu 59.5 --x 1 --format json":
         "5b4c752729136065f98b1e616e27da8dea75926aa0c5c7e9102638e0177a20b3",
+    "coherent --p 2.5 --j 1 --k 2 --alpha 0.7,0.2 --format csv":
+        "6bfa25dafd55f042a371eb6370a0550e3aec31041f7aee0276b8f667c599c676",
+    "coherent --p 2.5 --j 1 --k 2 --alpha 0.7,0.2 --format json":
+        "6ef96ba12354b6a603eaae5d96015eccb1fabdd1df1c0aab262580043cfff49b",
+    "coherent --p 2.5 --j 1 --k 2 --alpha 0.7,0.2 --nmax 30 --format csv":
+        "39107140721e49b9e25930506949a6e8b9ea5443b99973b8e766d05ea6a5bc82",
+    "coherent --p 2.5 --j 1 --k 2 --alpha 0.7,0.2 --nmax 30 --format json":
+        "7c476ecc4f70baefd1e416d88563dc8900d145e550d1ed1a2dea5e2d4f46d844",
+    "coherent --p 3 --j 0 --k 1 --alpha 1.5,-0.5 --cat + --format csv":
+        "c7629d32dc5408981c2bc76ab71f32bfc6fd0282fec69e8fb7b734495bf1402f",
+    "coherent --p 3 --j 0 --k 1 --alpha 1.5,-0.5 --cat + --format json":
+        "432edda9846580808dea2fff176144e1643dc8738450c264b857fa1c6f87f0b7",
+    "coherent --p 3 --j 0 --k 1 --alpha 1.5,-0.5 --cat - --nmax 40 --format csv":
+        "4cd1f57d0af38849c51434fa99650f27a0cda96384eec04e23b67329332221cf",
+    "coherent --p 3 --j 0 --k 1 --alpha 1.5,-0.5 --cat - --nmax 40 --format json":
+        "c18807cfbfea8c9289ec0790606d9b14559ed1c56c8d87638db85e6bb24643d4",
+    "coherent --p 1.3 --j 2 --k 3 --alpha 2,1 --normalized --format csv":
+        "1e596b9708a52c76d297b378b1841c80e5c76464f832e9c0d9e245c1f4d0c767",
+    "coherent --p 1.3 --j 2 --k 3 --alpha 2,1 --normalized --format json":
+        "10de91b8ea808cb18f9cf9bc594721f68b5d41f2b0750a2b59e890d081e68c1a",
+    "coherent --p 1.3 --j 2 --k 3 --alpha 2,1 --normalized --nmax 24 --format csv":
+        "fb250a4c1079420d3e22fc79844df25f670cff9473755c1d7464b60417320810",
+    "coherent --p 1.3 --j 2 --k 3 --alpha 2,1 --normalized --nmax 24 --format json":
+        "d1cb55e2b392596b5098c75c1c9efd05e43cb9146f3686e708b33d8160dbf066",
+    "bicoherent --p 2.5 --j 0 --l 1 --alpha 1.2,0 --beta 1.4,0 --format csv":
+        "3fb5f6a5fece65e21bf286c6c706c3d3ddbfeb79b96d8b8ed421f94ff041a51b",
+    "bicoherent --p 2.5 --j 0 --l 1 --alpha 1.2,0 --beta 1.4,0 --format json":
+        "e40757790114ba6ee52805772c2158006bd835289e73ca1e7fa602e549018672",
+    "bicoherent --p 3 --j 1 --l 1 --alpha 0.9,0.9 --beta 0,1.5 --kmax 20 --format csv":
+        "ece6662fba404a34e1bfdff35650baf55de8d0c80683edb54972d3142751b9a3",
+    "bicoherent --p 3 --j 1 --l 1 --alpha 0.9,0.9 --beta 0,1.5 --kmax 20 --format json":
+        "4d610085fc7a1be7324c8b47ab7c25a2a7b8c9c80f38d3fc450b8139bfd08023",
+    "moments --p 2.5 --j 0 --kind I --format csv":
+        "8f673265720f0b40ca5547e589a66d13af0427b103c7722a512241b2843ed119",
+    "moments --p 2.5 --j 0 --kind I --format json":
+        "a582426f13c249e9fdf3c3cb1d67cd3a4348c74e431f610f7e9f72fa2eebea0c",
+    "moments --p 1.3 --j 2 --kind II --nmax 8 --format csv":
+        "087966e768eeb23e1dcf9b63f41ba0bde8e89649bb5d7bf15bd484285adcf30c",
+    "moments --p 1.3 --j 2 --kind II --nmax 8 --format json":
+        "530980791386a57d16815171a0107dfefcff7b6fd851a7de4a27d660d946beff",
+    "resolution --p 2.5 --j 1 --format csv":
+        "feea2c81d26c55b08a0766920354681a1f784b7276dfa1f24de3853818115062",
+    "resolution --p 2.5 --j 1 --format json":
+        "f6541ba8575ca980f2351706a2b2cafcb55651e9c948a4add6bb3f3a10d45378",
+    "resolution --p 1.3 --j 0 --mode cat --ncheck 16 --format csv":
+        "06d22cb0a9fc66dbd1aa9ee3f3bb82fd42ec7a350b01f99e187cc29668ffde1c",
+    "resolution --p 1.3 --j 0 --mode cat --ncheck 16 --format json":
+        "d42e720ee72d3d30cdf920056be730b5ca63c97dbc5202f107c6046c0253a74d",
     "verify-all":
         "a5ab2e93f9bd4f079a3db2ad4ea25fdad4dd0848687bc4953656990982f6f1f6",
 }

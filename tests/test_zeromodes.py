@@ -134,15 +134,19 @@ def test_kernel_oracle_builds_no_whole_basis_b1_minus():
         assert [v.coefficients.tobytes() for v in got] == [v.coefficients.tobytes() for v in vectors]
 
 
-def test_climb_raises_when_a_rung_leaves_its_column_set(monkeypatch):
-    from parafock import zeromodes
+def test_climb_raises_when_a_rung_leaves_its_column_set():
+    from parafock import algebra
 
-    assert len(ladder_rungs(enumerate_basis(2.5, 10), 1, 2, 5)) == 6
-    # without its last column, (k + j + 4, 0; j + 4), b1+ cannot build rung 5 in full
-    honest = zeromodes._indices
-    monkeypatch.setattr(zeromodes, "_indices", lambda *labels: honest(*labels)[:-1])
+    j, k = 1, 2
+    assert len(ladder_rungs(enumerate_basis(2.5, 10), j, k, 5)) == 6
+    # without the rung-4 column (k + j + 4, 0; j + 4) in its h2 sector, b1+ cannot build rung 5
+    basis = enumerate_basis(2.5, 10)
+    columns, _ = algebra._h2_sector(basis, "b1+", k)
+    kept = columns[columns != basis.find(k + j + 4, 0, j + 4)]
+    assert kept.size == columns.size - 1
+    basis.cache["b1+", k] = kept, algebra._assemble(basis, "b1+", kept)
     with pytest.raises(RuntimeError, match="leaves the columns"):
-        ladder_rungs(enumerate_basis(2.5, 10), 1, 2, 5)
+        ladder_rungs(basis, j, k, 5)
 
 
 def test_kernel_oracle_spans_the_constructed_vector():
