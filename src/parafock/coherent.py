@@ -262,18 +262,32 @@ def b2_element_oracle(
     Both states are assembled rung by rung on the pattern basis and the
     generator matrix is applied directly to the ket's rungs.  It is built on
     the ket's h2 = p/2 + k patterns only, once per basis and k, and kept in
-    ``basis.cache``.  Truncation error is bounded by the product of the
-    coefficient tails, far below the closed-form comparison tolerances for
-    any nmax past the decay point.
+    ``basis.cache``, as are the bra's terms and the ket's image, once per
+    state.  Truncation error is bounded by the product of the coefficient
+    tails, far below the closed-form comparison tolerances for any nmax past
+    the decay point.
     """
     if k < 1 or not (0 <= jp <= k - 1):
         raise ValueError(f"target family (jp, k-1) = ({jp}, {k - 1}) does not exist")
-    bra = to_fock_vector(basis, build_coherent(basis.p, jp, k - 1, alpha_prime, nmax=nmax))
-    ket = build_coherent(basis.p, j, k, alpha, nmax=nmax)
-    support, values = _ladder_terms(ket.coeffs, ladder_rungs(basis, j, k, nmax))
-    _, lowering = algebra._h2_sector(basis, "b2-", k)
+    bra = _cached_terms(basis, "b2 bra", jp, k - 1, alpha_prime, nmax, lambda terms: terms)
+    image = _cached_terms(basis, "b2 image", j, k, alpha, nmax,
+                          lambda terms: algebra._h2_sector(basis, "b2-", k)[1].apply_on(*terms))
     # full-size vectors: a vdot over compacted ones changes the last bits
-    return bra.inner(_scatter(basis, *lowering.apply_on(support, values)))
+    return _scatter(basis, *bra).inner(_scatter(basis, *image))
+
+
+def _cached_terms(basis: FockBasis, tag: str, j: int, k: int, alpha: complex, nmax: int, finish):
+    """``finish`` of the state's ladder terms, kept in ``basis.cache`` once per state.
+
+    Keyed by the bits of alpha, so 0.0 and -0.0 never share an entry, and
+    stored only once ``build_coherent`` has accepted the state.
+    """
+    _validate_family(j, k, basis.p)  # first: 1.0 or True would find the entry of 1
+    key = (tag, j, k, np.complex128(complex(alpha)).tobytes(), nmax)
+    if key not in basis.cache:
+        state = build_coherent(basis.p, j, k, alpha, nmax=nmax)
+        basis.cache[key] = finish(_ladder_terms(state.coeffs, ladder_rungs(basis, j, k, nmax)))
+    return basis.cache[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,11 +339,18 @@ def bicoherent(
     if not abs(beta) <= _ALPHA_MAX:
         raise ValueError(f"|beta| = {abs(beta)} outside the operating range (max {_ALPHA_MAX})")
     base = build_coherent(p, j, l, alpha)
-    d = [complex(beta ** (l // 2)) if l >= 2 else complex(1.0)]
+    try:
+        d = [complex(beta ** (l // 2)) if l >= 2 else complex(1.0)]
+    except OverflowError:
+        raise ValueError(f"beta^(l // 2) overflows at |beta| = {abs(beta)}, l = {l}") from None
     for kk in range(1, kmax + 1):
         d.append(d[-1] * beta / math.sqrt(2.0 * kk * (p + 2.0 * l + 2.0 * kk - 2.0)))
     prefactors = np.array(d, dtype=np.complex128)
     pref_norm = float(np.linalg.norm(prefactors))
+    if not 0.0 < pref_norm < math.inf:  # the squares left the double range; hypot scales them
+        pref_norm = math.hypot(*np.abs(prefactors).tolist())
+    if pref_norm == 0.0:
+        raise ValueError(f"the joint eigenstate vanishes: beta^(l // 2) = 0 at beta = {beta}, l = {l}")
     a = base.coeffs
     a_norm = float(np.linalg.norm(a))
     residual_b1 = abs(complex(alpha)) * abs(a[-1]) / a_norm

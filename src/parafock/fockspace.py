@@ -95,7 +95,10 @@ class FockBasis:
     (m12, m22) holds m11 = m22 .. m12 at indices from ``row_start[m12, m22]``,
     which only ``find`` reads.  ``cache`` keeps what is built on the basis and
     is freed with it: whole generators by name, (sorted columns, generator)
-    pairs of one h2 sector by (name, k), and ladders by ("ladder", j, k, nmax).
+    pairs of one h2 sector by (name, k), ladders by ("ladder", j, k, nmax),
+    and the b2- oracle's compact (indices, values) pairs: bra terms by
+    ("b2 bra", jp, k - 1, alpha' bits, nmax) and ket images by
+    ("b2 image", j, k, alpha bits, nmax).
     """
 
     p: float

@@ -134,12 +134,12 @@ def _norm_states():
     return states
 
 
-def check_coherent_norms() -> CheckResult:
+def check_coherent_norms(states=None) -> CheckResult:
     """Bessel, hypergeometric, and coefficient-sum norm routes agree pairwise."""
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
-    for s in _norm_states():
+    for s in _norm_states() if states is None else states:
         routes = (
             coherent_norm(s.p, s.j, s.alpha),
             coherent_norm_series(s.p, s.j, s.alpha),
@@ -154,12 +154,12 @@ def check_coherent_norms() -> CheckResult:
     return _finish("coherent_norms", worst, 1e-10, detail, t0)
 
 
-def check_eigen_residuals() -> CheckResult:
+def check_eigen_residuals(states=None) -> CheckResult:
     """The b1- eigen-residual equals |alpha| |a_top| up to scaled representation rounding."""
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
-    for s in _norm_states():
+    for s in _norm_states() if states is None else states:
         residual, top = eigen_residual(s)
         scale = max(1.0, abs(s.alpha) * math.sqrt(s.norm_squared()))
         worst = max(worst, abs(residual - top) / scale)
@@ -404,14 +404,16 @@ ALL_CHECKS = (
 def run_all(p_grid=P_GRID, cutoff: int = 8) -> list[CheckResult]:
     """Run every suite in acceptance order; ``p_grid`` and ``cutoff`` set the swept suites.
 
-    The two relation suites share one basis per p, and the grids of the two
-    quadrature suites one ``besselk_values`` bucket store, for the length of
-    the pass; called alone, each quadrature suite makes its own store.
+    The two relation suites share one basis per p, the norm and residual
+    suites one list of coherent states, and the grids of the two quadrature
+    suites one ``besselk_values`` bucket store, for the length of the pass;
+    called alone, each of these suites makes its own.
     """
-    bases, store = _bases(p_grid, cutoff), {}
+    bases, states, store = _bases(p_grid, cutoff), _norm_states(), {}
     inputs = {
         check_triple_relations: {"bases": bases}, check_adjointness: {"bases": bases},
         check_zero_modes: {"p_grid": p_grid},
+        check_coherent_norms: {"states": states}, check_eigen_residuals: {"states": states},
         check_stieltjes_moments: {"store": store}, check_resolution_identity: {"store": store},
     }
     return [check(**inputs.get(check, {})) for check in ALL_CHECKS]

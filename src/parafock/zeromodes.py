@@ -164,10 +164,21 @@ def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
     rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
     if nmax:
         columns, raise_op = algebra._h2_sector(basis, "b1+", k)
+        # a rung has at most k + 1 patterns, so the product is walked on Python scalars;
+        # each row adds its terms in ascending column order from 0, as apply_on does
+        rows, vals = raise_op.rows.tolist(), raise_op.vals.tolist()
         for n in range(nmax):
-            index, values = raise_op.apply_on(*rungs[-1])
-            rungs.append((index, values / ladder_step(basis.p, j, n)))
-        if not np.isin(np.concatenate([index for index, _ in rungs[:-1]]), columns).all():
+            index, values = rungs[-1]
+            first = np.searchsorted(raise_op.cols, index).tolist()
+            last = np.searchsorted(raise_op.cols, index, side="right").tolist()
+            sums = {}
+            for lo, hi, x in zip(first, last, values.tolist()):
+                for e in range(lo, hi):
+                    sums[rows[e]] = sums.get(rows[e], 0j) + vals[e] * x
+            reached = sorted(sums)
+            total = np.array([sums[row] for row in reached], dtype=np.complex128)
+            rungs.append((np.array(reached, dtype=raise_op.rows.dtype), total / ladder_step(basis.p, j, n)))
+        if (algebra._position(columns, np.concatenate([index for index, _ in rungs[:-1]])) < 0).any():
             raise RuntimeError(f"a rung of the ({j}, {k}) ladder leaves the columns b1+ was built on")
     for index, values in rungs:
         index.flags.writeable = values.flags.writeable = False

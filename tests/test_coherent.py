@@ -379,3 +379,64 @@ def test_b2_element_oracle_peak_stays_under_four_full_vectors():
 def test_library_rejects_non_finite_input(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_b2_sweep_builds_each_state_and_image_once(monkeypatch):
+    from parafock import algebra, coherent, verify
+
+    builds, applies = [], []
+    build, apply_on = coherent.build_coherent, algebra.SparseOperator.apply_on
+
+    def counting_build(*args, **kwargs):
+        builds.append((args, tuple(sorted(kwargs.items()))))
+        return build(*args, **kwargs)
+
+    def counting_apply_on(self, support, x):
+        applies.append(len(support))
+        return apply_on(self, support, x)
+
+    monkeypatch.setattr(coherent, "build_coherent", counting_build)
+    monkeypatch.setattr(algebra.SparseOperator, "apply_on", counting_apply_on)
+    result = verify.check_b2_elements()
+    assert result.max_deviation.hex() == "0x1.1e3779b97f4a8p-50"
+    # one bra build and one ket build per distinct state (1,062 builds of 114 states before)
+    assert len(set(builds)) == 114
+    assert len(builds) <= 180
+    # only the b2- images apply an operator: one per distinct ket; the ladders walk on scalars
+    assert len(applies) == 93
+
+
+def test_b2_element_oracle_keys_alpha_by_its_bits():
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    shared = enumerate_basis(2.5, 24)
+    for alpha_prime, alpha in ((0.3 - 0.5j, 0.0), (0.3 - 0.5j, -0.0), (0.0, 0.7), (-0.0, 0.7)):
+        got = b2_element_oracle(shared, 0, alpha_prime, 1, 2, alpha, 20)
+        fresh = b2_element_oracle(enumerate_basis(2.5, 24), 0, alpha_prime, 1, 2, alpha, 20)
+        assert bits(got) == bits(fresh), (alpha_prime, alpha)
+    # 0.0 and -0.0 get entries of their own; each is compact, never a full-size vector
+    entries = {key: value for key, value in shared.cache.items() if key[0] in ("b2 bra", "b2 image")}
+    assert sorted(key[0] for key in entries) == ["b2 bra"] * 3 + ["b2 image"] * 3
+    assert all(len(index) == len(values) < shared.size for index, values in entries.values())
+
+
+@pytest.mark.parametrize("j, l, beta", [(1, 2, 0.0), (2, 3, 0.0), (1000, 1000, 0.001), (1000, 1000, 5.0)])
+def test_bicoherent_rejects_prefactors_outside_the_double_range(j, l, beta):
+    # beta^(l // 2) is 0 or overflows: the state vanishes or cannot be represented
+    with pytest.raises(ValueError, match="beta"):
+        bicoherent(2.5, j, l, 0.5, beta, 2)
+
+
+def test_bicoherent_residual_stays_finite_when_the_squared_prefactors_underflow():
+    state = bicoherent(2.5, 1, 2, 0.5, 1e-200, 2)
+    assert state.prefactors[0] == 1e-200
+    assert state.eigen_residual_b2sq == 0.0
+
+
+@pytest.mark.parametrize("jp, j", [(0.0, 1), (False, 1), (0, 1.0), (0, True)])
+def test_b2_element_oracle_rejects_non_integer_labels_after_the_int_entry_is_cached(jp, j):
+    basis = enumerate_basis(2.5, 24)
+    b2_element_oracle(basis, 0, 0.3, 1, 2, 0.7, 20)
+    with pytest.raises(TypeError):
+        b2_element_oracle(basis, jp, 0.3, j, 2, 0.7, 20)

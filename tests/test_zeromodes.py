@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafock import (
     b2sq_shift,
@@ -18,6 +20,7 @@ from parafock import (
     zero_mode_coeffs,
     zero_mode_vector,
 )
+from parafock import algebra, zeromodes
 from parafock.zeromodes import ladder_rungs
 
 EXACT_TOL = 1e-14
@@ -257,3 +260,43 @@ def test_b2sq_raise_then_lower_is_the_diagonal_product():
         cycled = b2m.apply(b2m.apply(b2p.apply(b2p.apply(vec))))
         scalar = b2sq_shift(j, k + 2, p, "lower") * b2sq_shift(j, k, p, "raise")
         assert (cycled - scalar * vec).norm() <= 1e-11 * max(1.0, abs(scalar))
+
+
+def _reference_climb(basis, j, k, nmax):
+    """The ladder walked with ``SparseOperator.apply_on``, one numpy product per rung."""
+    i = np.arange(j + 1)
+    rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
+    if nmax:
+        _, raise_op = algebra._h2_sector(basis, "b1+", k)
+        for n in range(nmax):
+            index, values = raise_op.apply_on(*rungs[-1])
+            rungs.append((index, values / ladder_step(basis.p, j, n)))
+    return rungs
+
+
+def _assert_climb_matches_reference(p, cutoff, j, k, nmax):
+    basis = enumerate_basis(p, cutoff)
+    got, expected = zeromodes._climb(basis, j, k, nmax), _reference_climb(basis, j, k, nmax)
+    assert len(got) == len(expected) == nmax + 1
+    for n, ((index, values), (ref_index, ref_values)) in enumerate(zip(got, expected)):
+        assert index.dtype == ref_index.dtype and index.tobytes() == ref_index.tobytes(), n
+        assert values.dtype == ref_values.dtype and values.tobytes() == ref_values.tobytes(), n
+
+
+@st.composite
+def _ladders(draw):
+    cutoff = draw(st.integers(0, 60))
+    k = draw(st.integers(0, cutoff))
+    j = draw(st.integers(0, min(k, cutoff - k)))
+    return cutoff, j, k, draw(st.integers(0, cutoff - k - j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.0, 120.0, exclude_min=True), ladder=_ladders())
+def test_scalar_climb_matches_the_apply_on_walk_bit_for_bit(p, ladder):
+    _assert_climb_matches_reference(p, *ladder)
+
+
+@pytest.mark.parametrize("j, k", [(1, 2), (0, 100)])
+def test_scalar_climb_matches_the_apply_on_walk_at_cutoff_200(j, k):
+    _assert_climb_matches_reference(2.5, 200, j, k, 200 - k - j)
