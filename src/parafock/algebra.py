@@ -127,23 +127,34 @@ class SparseOperator:
         x = np.asarray(vec)
         if x.shape != (self.dim,):
             raise ValueError(f"vector shape {x.shape} does not match dim {self.dim}")
-        y = _sum_by(self.rows, self.vals * x[self.cols], self.dim)
-        return y.astype(np.complex128, copy=False)
+        # a zero input only adds +-0 to a row sum that starts at +0, so skipping it changes no bit
+        support = np.flatnonzero(x)
+        rows, values = self.apply_on(support, x[support])
+        y = np.zeros(self.dim, dtype=np.complex128)
+        y[rows] = values
+        return y
 
     def apply_on(self, support, x) -> tuple[np.ndarray, np.ndarray]:
-        """Product with the vector that is ``x`` on the sorted indices ``support``, 0 elsewhere.
+        """Product with the vector that is ``x`` on the indices ``support``, 0 elsewhere.
 
-        Gathers only those columns' entries and adds each row's terms in the
-        order ``apply`` does, so the values match it bit for bit.  Returns the
-        sorted rows the entries reach and their values.
+        The engine's one operator-vector walk: one ``searchsorted`` pair finds
+        the support's entries, and each row reached adds its terms from 0j in
+        support order, on Python scalars.  Returns the sorted rows reached and
+        their complex values.
         """
         support = np.asarray(support, dtype=np.intp)
-        first = np.searchsorted(self.cols, support)
-        count = np.searchsorted(self.cols, support, side="right") - first
-        entry = _ranges(first, count)
-        rows, where = np.unique(self.rows[entry], return_inverse=True)
-        terms = self.vals[entry] * np.repeat(x, count)
-        return rows, _sum_by(where, terms, len(rows)).astype(np.complex128, copy=False)
+        first = self.cols.searchsorted(support).tolist()
+        last = self.cols.searchsorted(support, side="right").tolist()
+        # the touched span of entries; the support need not be sorted or distinct
+        lo, hi = min(first, default=0), max(last, default=0)
+        rows, vals = self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()
+        sums = {}
+        for start, stop, xi in zip(first, last, np.asarray(x).tolist(), strict=True):
+            for e in range(start - lo, stop - lo):
+                sums[rows[e]] = sums.get(rows[e], 0j) + vals[e] * xi
+        reached = sorted(sums)
+        return (np.array(reached, dtype=self.rows.dtype),
+                np.array([sums[row] for row in reached], dtype=np.complex128))
 
     def adjoint(self) -> "SparseOperator":
         return SparseOperator._accumulate(self.dim, self.cols, self.rows, np.conj(self.vals))

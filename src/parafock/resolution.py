@@ -109,7 +109,6 @@ class QuadratureGrid:
             ws.append(half * ref_w)
         self.x = np.concatenate(xs)
         self.w = np.concatenate(ws)
-        self.boundaries = boundaries
         self.x_max = boundaries[-1]
         self._k_cache: dict[float, np.ndarray] = {}
         self._i_cache: dict[float, np.ndarray] = {}
@@ -132,10 +131,10 @@ class QuadratureGrid:
         return self._i_cache[key]
 
 
-def _tail_cutoff(q: float, n_max: int, tol: float) -> int:
-    """Smallest integer X with e^(-X) X^(q + 2 n_max) below tol."""
+def _tail_cutoff(q: float, n_max: int) -> int:
+    """Smallest integer X with e^(-X) X^(q + 2 n_max) below the tail tolerance."""
     s = q + 2.0 * n_max
-    log_tol = math.log(tol)
+    log_tol = math.log(_TAIL_TOL)
     x = max(2, math.ceil(s) + 1)
     while -x + s * math.log(x) >= log_tol:
         x += 1
@@ -144,11 +143,11 @@ def _tail_cutoff(q: float, n_max: int, tol: float) -> int:
     return x
 
 
-def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL, store=None) -> QuadratureGrid:
+def radial_grid(p: float, j: int, n_max: int, store=None) -> QuadratureGrid:
     """Build the quadrature grid adequate for moments of order up to n_max.
 
     The upper end X comes from the K-decay criterion e^(-X) X^(q + 2 n_max)
-    < tol, so the clipped tail is below tol in absolute terms for every
+    < 1e-12, so the clipped tail is below 1e-12 in absolute terms for every
     integrand the (p, j) checks evaluate.  Every grid is a prefix of one node
     sequence, so grids given one K bucket ``store`` share all but their top bucket.
     """
@@ -156,9 +155,7 @@ def radial_grid(p: float, j: int, n_max: int, tol: float = _TAIL_TOL, store=None
     _require_integers(0, n_max=n_max)
     if n_max > _NCHECK_MAX:
         raise ValueError(f"n_max {n_max} outside the operating range (max {_NCHECK_MAX})")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    x_top = _tail_cutoff(q, int(n_max), tol)
+    x_top = _tail_cutoff(q, int(n_max))
     graded = [0.0] + [2.0 ** (-_GRADING_DEPTH + i) for i in range(_GRADING_DEPTH + 1)]
     boundaries = tuple(graded + [float(b) for b in range(2, x_top + 1)])
     return QuadratureGrid(boundaries, store)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .algebra import (
     verify_triple_relations,
 )
 from .coherent import (
-    _ladder_terms,
     b2_element,
     b2_element_oracle,
     bicoherent,
@@ -31,6 +30,7 @@ from .coherent import (
     coherent_norm,
     coherent_norm_series,
     eigen_residual,
+    to_fock_vector,
 )
 from .fockspace import FockBasis, FockVector, enumerate_basis
 from .resolution import (
@@ -40,10 +40,8 @@ from .resolution import (
 )
 from .specfun import bessel_i, bessel_k, bessel_k_oracle
 from .zeromodes import (
-    _scatter,
     b2sq_shift,
     kernel_oracle,
-    ladder_rungs,
     zero_mode_coeffs,
     zero_mode_vector,
 )
@@ -270,9 +268,8 @@ def check_bicoherent() -> CheckResult:
     basis = enumerate_basis(p, cutoff)
     # the components live in disjoint weight spaces, so summing them adds no rounding
     psi = FockVector(basis, sum(
-        _scatter(basis, *_ladder_terms(state.prefactors[kk] * base.coeffs,
-                                       ladder_rungs(basis, j, 2 * kk + l, nmax))).coefficients
-        for kk in range(kmax + 1)
+        to_fock_vector(basis, replace(base, k=2 * kk + l, coeffs=c * base.coeffs)).coefficients
+        for kk, c in enumerate(state.prefactors)
     ))
     psi_norm = psi.norm()
     d = state.prefactors

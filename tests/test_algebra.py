@@ -23,6 +23,7 @@ from parafock import (
     verify_triple_relations,
     zero_mode_vector,
 )
+from reference_walks import reference_apply, reference_apply_on
 
 RELATION_TOL = 1e-12
 ENTRY_TOL = 1e-13
@@ -446,22 +447,51 @@ def test_build_generator_shares_one_operator_per_basis():
     assert [ref() for ref in refs] == [None, None]
 
 
+# vector inputs: zeros of every sign as well as general values
+_INPUTS = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def _draw_inputs(data, size):
+    return np.array(data.draw(st.lists(_INPUTS, min_size=size, max_size=size)), dtype=np.complex128)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(GENERATOR_NAMES), cutoff=st.integers(0, 6), data=st.data())
 def test_apply_on_matches_apply_bit_for_bit(name, cutoff, data):
     basis = enumerate_basis(P_TEST, cutoff)
     op = build_generator(basis, name)
-    support = np.array(sorted(data.draw(st.sets(st.integers(0, basis.size - 1)))), dtype=np.intp)
-    parts = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
-    x = np.array(data.draw(st.lists(parts, min_size=support.size, max_size=support.size)),
-                 dtype=np.complex128)
+    # any support: unsorted, with repeats, empty
+    support = np.array(data.draw(st.lists(st.integers(0, basis.size - 1))), dtype=np.intp)
+    x = _draw_inputs(data, support.size)
+    for got, want in zip(op.apply_on(support, x), reference_apply_on(op, support, x)):
+        _assert_same_bytes(got, want)
+    # on distinct indices it is the former apply of the full vector, as is apply
+    distinct, first = np.unique(support, return_index=True)
     full = np.zeros(basis.size, dtype=np.complex128)
-    full[support] = x
-    expected = op.apply(full)
-    rows, values = op.apply_on(support, x)
-    assert np.array_equal(rows, np.unique(rows))
+    full[distinct] = x[first]
+    expected = reference_apply(op, full)
+    _assert_same_bytes(op.apply(full), expected)
+    rows, values = op.apply_on(distinct, x[first])
     assert values.tobytes() == expected[rows].tobytes()
     assert not np.delete(expected, rows).any()
+    with pytest.raises(ValueError):
+        op.apply_on(support, np.append(x, 1.0))
+
+
+def test_apply_on_adds_each_row_in_support_order():
+    # 1 + 1e16 rounds to 1e16, so only this order of the three terms sums to 0
+    op = SparseOperator.from_entries(1, [(0, 0, 1.0)])
+    support, x = [0, 0, 0], [1.0, 1e16, -1e16]
+    rows, values = op.apply_on(support, x)
+    assert rows.tolist() == [0] and values.tolist() == [0j]
+    assert values.tobytes() == reference_apply_on(op, support, x)[1].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -479,19 +509,18 @@ def test_generator_on_columns_matches_the_whole_generator_bit_for_bit(name, p, c
     part = algebra._assemble(basis, name, columns)
     expected = full.on_columns(columns)
     for got, want in ((part.rows, expected.rows), (part.cols, expected.cols), (part.vals, expected.vals)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    x = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
-                                                       allow_infinity=False),
-                                    min_size=columns.size, max_size=columns.size)),
-                 dtype=np.complex128)
+        _assert_same_bytes(got, want)
+    x = _draw_inputs(data, columns.size)
     vec = np.zeros(basis.size, dtype=np.complex128)
     vec[columns] = x
-    whole = full.apply(vec)
+    whole = reference_apply(full, vec)
     rows, values = part.apply_on(columns, x)
+    for got, want in zip((rows, values), reference_apply_on(full, columns, x)):
+        _assert_same_bytes(got, want)
     assert values.tobytes() == whole[rows].tobytes()
     assert not np.delete(whole, rows).any()
     # a vector that lives on the columns sees the whole generator through apply as well
-    assert part.apply(vec).tobytes() == whole.tobytes()
+    _assert_same_bytes(part.apply(vec), whole)
 
 
 def test_operator_arrays_are_read_only():

@@ -225,6 +225,7 @@ def _assert_exits_cleanly(argv):
     else:
         values = _numbers([f for ln in text.splitlines() for f in ln.lstrip("# ").replace("=", ",").split(",")])
     assert all(math.isfinite(x) for x in values), (argv, text)
+    return code
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -299,3 +300,20 @@ def test_every_subcommand_fuzz_exits_cleanly(name):
         _assert_exits_cleanly(argv)
 
     check()
+
+
+# inputs past the envelope that the fuzz found or only reaches by chance, run whatever it draws
+_EDGE_ARGV = [
+    "bicoherent --p 2.5 --j 1 --l 2 --alpha=0.5,0 --beta=0,0",
+    "bicoherent --p 2.5 --j 1000 --l 1000 --alpha=0.5,0 --beta=5,0",
+    "bessel --kind k --nu 60 --x 1e-300",
+    "coherent --p 2.5 --j 0 --k 0 --alpha=0,0 --cat -",
+    "b2-elements --p 2.5 --j 0 --k 1 --alpha=0.5,0 --alpha-prime=0.5,0 --nmax 3",
+    "moments --p 2.5 --j 0 --kind I --nmax 1000",
+    "verify-triple --p 2.5 --cutoff 65",
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGV)
+def test_known_edge_inputs_exit_2(argv):
+    assert _assert_exits_cleanly(argv.split()) == 2

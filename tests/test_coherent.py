@@ -384,26 +384,34 @@ def test_library_rejects_non_finite_input(call):
 def test_b2_sweep_builds_each_state_and_image_once(monkeypatch):
     from parafock import algebra, coherent, verify
 
-    builds, applies = [], []
-    build, apply_on = coherent.build_coherent, algebra.SparseOperator.apply_on
+    builds, applied, b2_sectors = [], [], []
+    build, apply_on, h2_sector = (coherent.build_coherent, algebra.SparseOperator.apply_on,
+                                  algebra._h2_sector)
 
     def counting_build(*args, **kwargs):
         builds.append((args, tuple(sorted(kwargs.items()))))
         return build(*args, **kwargs)
 
+    def recording_h2_sector(basis, name, k):
+        columns, op = h2_sector(basis, name, k)
+        if name == "b2-":
+            b2_sectors.append(op)
+        return columns, op
+
     def counting_apply_on(self, support, x):
-        applies.append(len(support))
+        applied.append(self)
         return apply_on(self, support, x)
 
     monkeypatch.setattr(coherent, "build_coherent", counting_build)
+    monkeypatch.setattr(algebra, "_h2_sector", recording_h2_sector)
     monkeypatch.setattr(algebra.SparseOperator, "apply_on", counting_apply_on)
     result = verify.check_b2_elements()
     assert result.max_deviation.hex() == "0x1.1e3779b97f4a8p-50"
     # one bra build and one ket build per distinct state (1,062 builds of 114 states before)
     assert len(set(builds)) == 114
     assert len(builds) <= 180
-    # only the b2- images apply an operator: one per distinct ket; the ladders walk on scalars
-    assert len(applies) == 93
+    # one b2- image per distinct ket; the other applies are the ladders' b1+ rungs
+    assert sum(any(op is b2 for b2 in b2_sectors) for op in applied) == 93
 
 
 def test_b2_element_oracle_keys_alpha_by_its_bits():

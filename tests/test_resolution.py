@@ -208,8 +208,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         stieltjes_moment("I", 2.5, 0, -1)
     with pytest.raises(ValueError):
-        radial_grid(2.5, 0, 2, tol=1.5)
-    with pytest.raises(ValueError):
         resolution_identity_check(2.5, 0, 17)
     with pytest.raises(ValueError):
         resolution_identity_check(2.5, 0, 4, mode="diag")

@@ -22,6 +22,7 @@ from parafock import (
 )
 from parafock import algebra, zeromodes
 from parafock.zeromodes import ladder_rungs
+from reference_walks import reference_apply_on
 
 EXACT_TOL = 1e-14
 RESIDUAL_TOL = 1e-12
@@ -263,13 +264,13 @@ def test_b2sq_raise_then_lower_is_the_diagonal_product():
 
 
 def _reference_climb(basis, j, k, nmax):
-    """The ladder walked with ``SparseOperator.apply_on``, one numpy product per rung."""
+    """The ladder walked with the former ``np.unique`` apply_on, one numpy product per rung."""
     i = np.arange(j + 1)
     rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
     if nmax:
         _, raise_op = algebra._h2_sector(basis, "b1+", k)
         for n in range(nmax):
-            index, values = raise_op.apply_on(*rungs[-1])
+            index, values = reference_apply_on(raise_op, *rungs[-1])
             rungs.append((index, values / ladder_step(basis.p, j, n)))
     return rungs
 
