@@ -49,10 +49,6 @@ _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    """Parameter validation failure, reported on stderr with exit code 2."""
-
-
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -175,7 +171,7 @@ def _emit(table: Table, args: argparse.Namespace) -> None:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate(args)
         table, code = args.handler(args)
-    except (UsageError, ValueError, TypeError, TruncationError) as exc:
+    except (ValueError, TypeError, TruncationError) as exc:
         print(f"parafock: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     _emit(table, args)

@@ -18,17 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import _require_integers
-from .specfun import besseli_values, besselk_values
+from .specfun import _gauss_panels, besseli_values, besselk_values
 
 _MEASURE_KINDS = ("I", "II")
 _TAIL_TOL = 1e-12
-_NODES_PER_PANEL = 20
 _GRADING_DEPTH = 40
 _Q_MAX = 12.0
 _MOMENT_N_MAX = 8
 _NCHECK_MAX = 2 * _MOMENT_N_MAX
 _MODES = ("offdiag", "cat")
 _RHO_MAX = 1e154  # rho^2 stays a finite double
+_GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def _validate_measure_args(kind: str, p: float, j: int) -> float:
@@ -90,8 +90,10 @@ def measure(kind: str, p: float, j: int, rho: float) -> float:
 class QuadratureGrid:
     """Gauss-Legendre panel grid on x = rho^2 in (0, X] with cached Bessel columns.
 
-    The first unit interval is geometrically graded toward 0 to resolve the
-    fractional-power behaviour of K there; the remaining panels have width 1.
+    The 20-point rule sits on every panel between consecutive ``boundaries``
+    (:func:`specfun._gauss_panels`).  The first unit interval is graded
+    geometrically toward 0 to resolve the fractional-power behaviour of K
+    there; the remaining panels have width 1.
     Bessel K and I evaluations at the nodes are cached per order on the grid
     since every moment and every diagonal entry reuses the same columns.  K
     columns go through ``store``, the caller-owned bucket store of
@@ -100,15 +102,7 @@ class QuadratureGrid:
     """
 
     def __init__(self, boundaries: tuple[float, ...], store: dict | None = None) -> None:
-        ref_x, ref_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-        xs = []
-        ws = []
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            half = 0.5 * (b - a)
-            xs.append(half * ref_x + (a + half))
-            ws.append(half * ref_w)
-        self.x = np.concatenate(xs)
-        self.w = np.concatenate(ws)
+        self.x, self.w = _gauss_panels(boundaries, _GL20_NODES, _GL20_WEIGHTS)
         self.x_max = boundaries[-1]
         self._k_cache: dict[float, np.ndarray] = {}
         self._i_cache: dict[float, np.ndarray] = {}
@@ -161,15 +155,19 @@ def radial_grid(p: float, j: int, n_max: int, store=None) -> QuadratureGrid:
     return QuadratureGrid(boundaries, store)
 
 
-def stieltjes_closed_form(kind: str, p: float, j: int, n: int) -> float:
-    """Gamma-product value of the n-th radial power moment of F_I or F_II."""
+def _moment_args(kind: str, p: float, j: int, n: int) -> tuple[float, int]:
+    """Validate a moment's arguments; return q and the kind-II shift e (0 for I, 1 for II)."""
     q = _validate_measure_args(kind, p, j)
     _require_integers(0, n=n)
     if n > _MOMENT_N_MAX:
         raise ValueError(f"moment order {n} outside the operating range (max {_MOMENT_N_MAX})")
-    if kind == "I":
-        return 2.0 ** (2 * n) * math.gamma(n + 1.0) * math.gamma(q + n)
-    return 2.0 ** (2 * n + 1) * math.gamma(n + 1.0) * math.gamma(q + n + 1.0)
+    return q, int(kind == "II")
+
+
+def stieltjes_closed_form(kind: str, p: float, j: int, n: int) -> float:
+    """Gamma-product value 2^(2n+e) n! Gamma(q + n + e) of the n-th radial power moment."""
+    q, e = _moment_args(kind, p, j, n)
+    return 2.0 ** (2 * n + e) * math.gamma(n + 1.0) * math.gamma(q + n + e)
 
 
 def stieltjes_moment(
@@ -180,17 +178,11 @@ def stieltjes_moment(
     After x = rho^2 the kind-I integrand is 2 x^(2n) (x/2)^q K_(q-1)(x) and
     the kind-II one carries one more power of x and order q.
     """
-    q = _validate_measure_args(kind, p, j)
-    _require_integers(0, n=n)
-    if n > _MOMENT_N_MAX:
-        raise ValueError(f"moment order {n} outside the operating range (max {_MOMENT_N_MAX})")
+    q, e = _moment_args(kind, p, j, n)
     if grid is None:
         grid = radial_grid(p, j, int(n))
     x = grid.x
-    if kind == "I":
-        integrand = 2.0 * x ** (2 * n) * (x / 2.0) ** q * grid.k_values(q - 1.0)
-    else:
-        integrand = 2.0 * x ** (2 * n + 1) * (x / 2.0) ** q * grid.k_values(q)
+    integrand = 2.0 * x ** (2 * n + e) * (x / 2.0) ** q * grid.k_values(q if e else q - 1.0)
     return float(grid.w @ integrand)
 
 
@@ -310,17 +302,11 @@ def resolution_identity_check(
 
     entries = np.zeros((n_check + 1, n_check + 1))
     for n in range(n_check + 1):
-        m, odd = divmod(n, 2)
-        if odd:
-            k_col = k_hi
-            power = q + 2 * m
-            norm = math.gamma(m + 1.0) * math.gamma(q + m + 1.0)
-            i_col = i_sum if mode == "offdiag" else i_hi
-        else:
-            k_col = k_lo
-            power = q - 1.0 + 2 * m
-            norm = math.gamma(m + 1.0) * math.gamma(q + m)
-            i_col = i_sum if mode == "offdiag" else i_lo
+        m, e = divmod(n, 2)
+        k_col, i_one = (k_hi, i_hi) if e else (k_lo, i_lo)
+        power = q + 2 * m if e else q - 1.0 + 2 * m
+        norm = math.gamma(m + 1.0) * math.gamma(q + m + e)
+        i_col = i_sum if mode == "offdiag" else i_one
         numerator = w * x * i_col * k_col * (x / 2.0) ** power
         entries[n, n] = float(np.sum(numerator / (i_col * norm)))
 

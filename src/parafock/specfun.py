@@ -9,8 +9,9 @@ in double precision once x exceeds a few units (the summands grow like e^x
 while the result decays like e^-x), so they are evaluated in escalated
 working precision sized from that loss estimate and rounded to a double at
 the end.  The term loops run on Python integers scaled by 2^prec at those
-working digits; mpmath supplies only the one-off prefactors.  An independent integral-representation evaluator serves as oracle
-and as the stable backend for quadrature grids.
+working digits; mpmath supplies only the one-off prefactors.  An independent
+integral-representation evaluator serves as oracle and as the stable backend
+for quadrature grids; it and the radial grids share one Gauss-Legendre panel rule.
 
 Operating envelope: series arguments are validated to x <= 50; the integral
 representation has no such restriction.
@@ -69,6 +70,14 @@ def hyp0f1(a: float, x: float | complex) -> SeriesResult:
             raise RuntimeError("series failed to terminate")
 
 
+def _log_i_lead(nu: float, log_half):
+    """log (x/2)^nu / Gamma(nu + 1); -inf past nu ~ 2.56e305, where lgamma overflows (the term underflows)."""
+    try:
+        return nu * log_half - math.lgamma(nu + 1.0)
+    except OverflowError:
+        return np.full_like(log_half, -math.inf, dtype=float)
+
+
 def bessel_i(nu: float, x: float) -> SeriesResult:
     """Modified Bessel function I_nu(x) from its ascending series, nu > -1, 0 <= x <= 50.
 
@@ -84,7 +93,7 @@ def bessel_i(nu: float, x: float) -> SeriesResult:
             raise ValueError("I_nu(0) diverges for -1 < nu < 0")
         return SeriesResult(1.0 if nu == 0 else 0.0, 1, 0.0)
     half = x / 2.0
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    term = math.exp(_log_i_lead(nu, math.log(half)))
     if term == 0.0:
         return SeriesResult(0.0, 1, 0.0)
     total = term
@@ -92,7 +101,7 @@ def bessel_i(nu: float, x: float) -> SeriesResult:
     n = 0
     while True:
         nxt = term * q / ((n + 1) * (nu + n + 1))
-        if nxt < _RELATIVE_STOP * total:
+        if nxt < _RELATIVE_STOP * total or nxt == 0.0:  # the stop underflows for a subnormal total
             return SeriesResult(total, n + 1, 2.0 * nxt)
         term = nxt
         total += term
@@ -249,13 +258,18 @@ def _panel_cutoff(nu: float, xmin: float) -> float:
         raise ValueError(f"the K_{nu} integrand at x = {xmin} decays beyond the double range of cosh") from None
 
 
+def _gauss_panels(boundaries, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The rule (nodes, weights) on [-1, 1] mapped onto each panel [b_i, b_(i+1)], in panel order."""
+    b = np.asarray(boundaries, dtype=float)
+    half = (0.5 * (b[1:] - b[:-1]))[:, None]
+    t = half * nodes[None, :] + (b[:-1, None] + half)
+    return t.ravel(), (half * weights[None, :]).ravel()
+
+
 def _k_bucket(anu: float, xb: np.ndarray) -> np.ndarray:
-    """K_anu on one magnitude bucket, integrated out to the cutoff of its smallest point."""
-    width = 0.5
-    n_panels = int(round(_panel_cutoff(anu, float(xb.min())) / width))
-    starts = width * np.arange(n_panels)
-    t = (0.5 * width * _GL24_NODES[None, :] + (starts + 0.5 * width)[:, None]).ravel()
-    w = np.tile(0.5 * width * _GL24_WEIGHTS, n_panels)
+    """K_anu on one magnitude bucket, on 24-point half-unit panels out to its smallest point's cutoff."""
+    n_panels = int(round(_panel_cutoff(anu, float(xb.min())) / 0.5))
+    t, w = _gauss_panels(0.5 * np.arange(n_panels + 1), _GL24_NODES, _GL24_WEIGHTS)
     log_g = _log_cosh(t, anu)[None, :] - xb[:, None] * (np.cosh(t) - 1.0)[None, :]
     with np.errstate(over="ignore"):
         scaled = np.exp(log_g) @ w
@@ -302,6 +316,7 @@ def besseli_values(nu: float, xs: np.ndarray) -> np.ndarray:
 
     Cancellation-free; usable beyond the x <= 50 envelope of bessel_i as the
     quadrature backend (terms stay within double range for x up to ~700).
+    A point whose leading term underflows sums to 0 exactly.
     """
     if not nu > -1:
         raise ValueError(f"need nu > -1, got {nu}")
@@ -309,12 +324,13 @@ def besseli_values(nu: float, xs: np.ndarray) -> np.ndarray:
     if not np.all(xs > 0):
         raise ValueError("all grid points must be positive")
     half = xs / 2.0
-    term = np.exp(nu * np.log(half) - math.lgamma(nu + 1.0))
+    term = np.exp(_log_i_lead(nu, np.log(half)))
     total = term.copy()
     q = half * half
     for n in range(_MAX_TERMS):
         term = term * q / ((n + 1) * (nu + n + 1))
         total += term
-        if float((term / total).max()) < _RELATIVE_STOP:
+        ratio = np.divide(term, total, out=np.zeros_like(total), where=total > 0)
+        if float(ratio.max()) < _RELATIVE_STOP:
             return total
     raise RuntimeError("series failed to terminate")

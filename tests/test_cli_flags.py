@@ -317,3 +317,19 @@ _EDGE_ARGV = [
 @pytest.mark.parametrize("argv", _EDGE_ARGV)
 def test_known_edge_inputs_exit_2(argv):
     assert _assert_exits_cleanly(argv.split()) == 2
+
+
+# in-envelope inputs at extreme orders where the I series underflows; each once ended in a traceback
+_HUGE = str(10**306)
+_EDGE_ARGV_OK = [
+    "bessel --kind i --nu 2.6e305 --x 1",
+    f"coherent --p 2 --j {_HUGE} --k {_HUGE} --alpha=1,0",
+    "bessel --kind i --nu 400 --x 50",
+    "coherent --p 2 --j 316 --k 316 --alpha=5,0",
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGV_OK, ids=lambda a: a[:60])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_known_edge_inputs_exit_0(argv, fmt):
+    assert _assert_exits_cleanly([*argv.split(), f"--format={fmt}"]) == 0

@@ -226,6 +226,23 @@ GOLDEN = {
         "06d22cb0a9fc66dbd1aa9ee3f3bb82fd42ec7a350b01f99e187cc29668ffde1c",
     "resolution --p 1.3 --j 0 --mode cat --ncheck 16 --format json":
         "d42e720ee72d3d30cdf920056be730b5ca63c97dbc5202f107c6046c0253a74d",
+    # the corners of the quadrature envelope: q = 12 and p just above 1, at the largest n
+    "moments --p 24 --j 0 --kind II --nmax 8 --format csv":
+        "69efa580e42e7d841dc457ee2aa16f7b88dc610e3c6bb46cb21ab27bcb7a6447",
+    "moments --p 24 --j 0 --kind II --nmax 8 --format json":
+        "7b9923d8c67effb388e3e6413ec0a92adc7596000af2f9228b3b5a9cc966f9f7",
+    "moments --p 1.0000001 --j 0 --kind I --nmax 8 --format csv":
+        "c4bb481490069ae44165ef141cd8e491125d9248a45480811900b05e37e6c395",
+    "moments --p 1.0000001 --j 0 --kind I --nmax 8 --format json":
+        "40986a78a8c51f979bd71c2e9f341fb8c9f7b02370b124cd17731db0544fb036",
+    "resolution --p 24 --j 0 --ncheck 16 --format csv":
+        "03833baf2cd09ff643e16a8cafd37ac845a74bb6bd12ad3477bfd2e6f070538b",
+    "resolution --p 24 --j 0 --ncheck 16 --format json":
+        "c8495e12d4c1e58ef5d82ebbb19744570e803405c31204cbc0d05fed0b926911",
+    "resolution --p 1.0000001 --j 0 --mode cat --ncheck 16 --format csv":
+        "3b42b2b3f3336f8fd2714c7513211beb5a41ea6b213a6b136a540be21d78c7ce",
+    "resolution --p 1.0000001 --j 0 --mode cat --ncheck 16 --format json":
+        "26dd3385c42da32267060983a2f099b65e371d85e19650fc0bf361c70ddca8df",
     "verify-all":
         "a5ab2e93f9bd4f079a3db2ad4ea25fdad4dd0848687bc4953656990982f6f1f6",
 }

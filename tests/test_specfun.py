@@ -2,10 +2,11 @@
 
 mpmath serves as the independent high-precision oracle throughout; every
 comparison grid stays inside the validated operating window x <= 50,
-|nu| <= 60.
+|nu| <= 60, except the I-series tests at orders where its terms underflow.
 """
 
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_panels import reference_grid_rule, reference_k_rule
 
 from parafock import (
     bessel_i,
@@ -22,6 +24,7 @@ from parafock import (
     besselk_values,
     hyp0f1,
     measure,
+    resolution,
     specfun,
 )
 
@@ -101,6 +104,32 @@ def test_bessel_i_elementary_half_orders():
 def test_bessel_i_underflowing_leading_term_is_zero():
     result = bessel_i(3.0, 1e-320)
     assert (result.value, result.terms_used, result.tail_bound) == (0.0, 1, 0.0)
+
+
+@pytest.mark.parametrize("nu, x", [(2.6e305, 1.0), (1e308, 50.0), (1e308, 1e-300), (3e305, 1e-320)])
+def test_bessel_i_is_zero_where_lgamma_overflows(nu, x):
+    # lgamma(nu + 1) overflows past nu ~ 2.56e305; the leading term underflows long before
+    result = bessel_i(nu, x)
+    assert (result.value, result.terms_used, result.tail_bound) == (0.0, 1, 0.0)
+
+
+def test_bessel_i_terminates_on_a_subnormal_sum():
+    # I_400(50) ~ 1.1e-309: 1e-17 times the sum underflows, so only a zero term can stop it
+    result = bessel_i(400.0, 50.0)
+    expected = float(mp.besseli(400, 50))
+    assert 0.0 < result.value < 2.3e-308
+    assert abs(result.value - expected) <= 1e-12 * expected
+
+
+def test_besseli_values_is_zero_at_underflowing_orders():
+    start = time.perf_counter()
+    assert besseli_values(400.0, np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+    assert besseli_values(3e305, np.array([1.0, 50.0, 700.0])).tolist() == [0.0, 0.0, 0.0]
+    assert time.perf_counter() - start < 0.5  # 100,000 iterations and a RuntimeError took 0.9 s
+    mixed = besseli_values(400.0, np.array([1.0, 600.0]))
+    expected = float(mp.besseli(400, 600))
+    assert mixed[0] == 0.0
+    assert abs(mixed[1] - expected) <= 1e-12 * expected
 
 
 def test_bessel_k_elementary_half_order():
@@ -320,3 +349,31 @@ def test_scaled_integer_series_match_the_mpf_loops_bit_for_bit(nu, x):
 def test_scaled_integer_series_at_the_envelope_edges(nu, x):
     # K_0(50) is where an integer-order scale taken from the leading term stops early
     _assert_same_bits(nu, x)
+
+
+@st.composite
+def _radial_boundaries(draw):
+    """Boundaries shaped like ``radial_grid``'s: 0, graded panels down to 2^-depth, then unit panels."""
+    depth = draw(st.integers(0, 60))
+    top = draw(st.integers(2, 400))
+    graded = [0.0] + [2.0 ** (-depth + i) for i in range(depth + 1)]
+    return tuple(graded + [float(b) for b in range(2, top + 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundaries=_radial_boundaries())
+def test_grid_panels_match_the_former_loop_bit_for_bit(boundaries):
+    x, w = reference_grid_rule(boundaries)
+    grid = resolution.QuadratureGrid(boundaries)
+    assert grid.x.tobytes() == x.tobytes()
+    assert grid.w.tobytes() == w.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_panels=st.integers(1, 400))
+def test_k_panels_match_the_former_tiled_form_bit_for_bit(n_panels):
+    t, w = reference_k_rule(n_panels)
+    boundaries = 0.5 * np.arange(n_panels + 1)
+    got_t, got_w = specfun._gauss_panels(boundaries, specfun._GL24_NODES, specfun._GL24_WEIGHTS)
+    assert got_t.tobytes() == t.tobytes()
+    assert got_w.tobytes() == w.tobytes()
