@@ -1,10 +1,12 @@
 """Command-line front end for the paraboson Fock engine.
 
-Every subcommand emits a single table in CSV (default) or JSON.  CSV output
-is one header line, data rows, then summary lines prefixed with '#'.  JSON
-output is an object {"meta": ..., "data": ...} conforming to the schema
-shipped at parafock/schemas/output.schema.json.  Reals are printed with 17
-significant digits so identical inputs give byte-identical output.
+Every subcommand emits a single table in CSV (default) or JSON.  CSV output,
+written by ``csv.writer``, is one header line, data rows, then summary lines
+prefixed with '#'.  JSON output, written by ``json.dumps``, is an object
+{"meta": ..., "data": ...} conforming to the schema shipped at
+parafock/schemas/output.schema.json.  CSV prints reals with 17 significant
+digits and JSON with their shortest round-trip form, so identical inputs give
+byte-identical output.
 
 Exit codes: 0 success, 1 a verification subcommand found a deviation above
 tolerance, 2 usage error (unknown flags, out-of-range parameters).
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -104,11 +108,12 @@ def _meta(args: argparse.Namespace) -> dict:
 
 @dataclass
 class Table:
-    """One result table: column names, rows, and scalar summary entries."""
+    """One result table: column names, rows, scalar summary entries, and whether its checks passed."""
 
     columns: list[str]
     rows: list[list]
     summary: dict = field(default_factory=dict)
+    passed: bool = True
 
 
 def _cell(value) -> str:
@@ -121,43 +126,24 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_field(text: str) -> str:
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _render_csv(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_csv_field(_cell(v)) for v in row))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows([_cell(v) for v in row] for row in table.rows)
     for key, value in table.summary.items():
-        lines.append(f"# {key}={_cell(value)}")
-    return "\n".join(lines) + "\n"
+        out.write(f"# {key}={_cell(value)}\n")
+    return out.getvalue()
 
 
-def _json_value(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return str(value)
+def _plain(value):
+    """The json.dumps fallback: a numpy scalar's Python value, anything else as text."""
+    return value.item() if isinstance(value, np.generic) else str(value)
 
 
 def _render_json(table: Table, args: argparse.Namespace) -> str:
-    payload = {
-        "meta": _meta(args),
-        "data": {
-            "columns": list(table.columns),
-            "rows": [[_json_value(v) for v in row] for row in table.rows],
-            "summary": {k: _json_value(v) for k, v in table.summary.items()},
-        },
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    data = {"columns": table.columns, "rows": table.rows, "summary": table.summary}
+    return json.dumps({"meta": _meta(args), "data": data}, indent=2, default=_plain) + "\n"
 
 
 def _emit(table: Table, args: argparse.Namespace) -> None:
@@ -178,25 +164,24 @@ def _require(condition: bool, message: str) -> None:
 # subcommand handlers
 
 
-def _cmd_basis(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_basis(args: argparse.Namespace) -> Table:
     basis = enumerate_basis(args.p, args.cutoff)
     labels = (basis.m12, basis.m22, basis.m11, *basis.weights(), np.arange(basis.size))
     rows = [list(row) for row in zip(*(column.tolist() for column in labels))]
-    table = Table(
+    return Table(
         columns=["m12", "m22", "m11", "w1", "w2", "index"],
         rows=rows,
         summary={"patterns": basis.size, "p": args.p, "cutoff": args.cutoff},
     )
-    return table, _EXIT_OK
 
 
-def _cmd_op_matrix(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_op_matrix(args: argparse.Namespace) -> Table:
     basis = enumerate_basis(args.p, args.cutoff)
     op = build_generator(basis, args.gen)
     # a raising generator drops its entries in the columns of the m12 = cutoff shell
     clipped = int(np.count_nonzero(basis.m12 == basis.cutoff)) if args.gen.endswith("+") else 0
     rows = [[row, col, value.real, value.imag] for row, col, value in op.entries]
-    table = Table(
+    return Table(
         columns=["row", "col", "re", "im"],
         rows=rows,
         summary={
@@ -206,16 +191,15 @@ def _cmd_op_matrix(args: argparse.Namespace) -> tuple[Table, int]:
             "clipped_columns": clipped,
         },
     )
-    return table, _EXIT_OK
 
 
-def _cmd_verify_triple(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_verify_triple(args: argparse.Namespace) -> Table:
     basis = enumerate_basis(args.p, args.cutoff)
     report = verify_triple_relations(basis, tol=args.tol)
     rows = [
         [r.xi, r.eta, r.eps, r.j, r.k, r.l, r.deviation] for r in report.relations
     ]
-    table = Table(
+    return Table(
         columns=["xi", "eta", "eps", "j", "k", "l", "deviation"],
         rows=rows,
         summary={
@@ -225,11 +209,11 @@ def _cmd_verify_triple(args: argparse.Namespace) -> tuple[Table, int]:
             "tol": report.tol,
             "passed": report.passed,
         },
+        passed=report.passed,
     )
-    return table, _EXIT_OK if report.passed else _EXIT_FAIL
 
 
-def _cmd_zeromodes(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_zeromodes(args: argparse.Namespace) -> Table:
     _require(args.j <= args.k, f"the kernel at (j, k) = ({args.j}, {args.k}) is trivial; need j <= k")
     coeffs = zero_mode_coeffs(args.j, args.k, args.p)
     rows = [[i, c] for i, c in enumerate(coeffs)]
@@ -239,7 +223,7 @@ def _cmd_zeromodes(args: argparse.Namespace) -> tuple[Table, int]:
     residual = b1m.apply(vec).norm()
     dim, kernel_vectors = kernel_oracle(basis, args.j, args.k)
     alignment = abs(complex(kernel_vectors[0].inner(vec))) if dim == 1 else 0.0
-    table = Table(
+    return Table(
         columns=["i", "c_i"],
         rows=rows,
         summary={
@@ -249,10 +233,9 @@ def _cmd_zeromodes(args: argparse.Namespace) -> tuple[Table, int]:
             "kernel_alignment": alignment,
         },
     )
-    return table, _EXIT_OK
 
 
-def _cmd_coherent(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_coherent(args: argparse.Namespace) -> Table:
     state = build_coherent(
         args.p, args.j, args.k, args.alpha, nmax=args.nmax, normalized=args.normalized
     )
@@ -260,7 +243,7 @@ def _cmd_coherent(args: argparse.Namespace) -> tuple[Table, int]:
         state = cat_state(state, args.cat)
     rows = [[n, c.real, c.imag] for n, c in enumerate(state.coeffs)]
     residual, top_term = eigen_residual(state)
-    table = Table(
+    return Table(
         columns=["n", "re", "im"],
         rows=rows,
         summary={
@@ -272,10 +255,9 @@ def _cmd_coherent(args: argparse.Namespace) -> tuple[Table, int]:
             "tail_bound": state.tail_bound,
         },
     )
-    return table, _EXIT_OK
 
 
-def _cmd_b2_elements(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_b2_elements(args: argparse.Namespace) -> Table:
     _require(args.k >= 1, f"need k >= 1 so the target family at k - 1 exists, got k = {args.k}")
     _require(args.j <= args.k, f"need j <= k, got (j, k) = ({args.j}, {args.k})")
     cutoff = args.j + args.k + args.nmax
@@ -290,15 +272,14 @@ def _cmd_b2_elements(args: argparse.Namespace) -> tuple[Table, int]:
         deviation = abs(closed - oracle)
         worst = max(worst, deviation)
         rows.append([jp, closed.real, closed.imag, oracle.real, oracle.imag, deviation])
-    table = Table(
+    return Table(
         columns=["jp", "closed_re", "closed_im", "oracle_re", "oracle_im", "abs_dev"],
         rows=rows,
         summary={"max_abs_dev": worst, "nmax": args.nmax, "cutoff": cutoff},
     )
-    return table, _EXIT_OK
 
 
-def _cmd_bicoherent(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_bicoherent(args: argparse.Namespace) -> Table:
     state = bicoherent(args.p, args.j, args.l, args.alpha, args.beta, args.kmax)
     rows = [
         ["eigen_residual_b1", state.eigen_residual_b1],
@@ -307,29 +288,27 @@ def _cmd_bicoherent(args: argparse.Namespace) -> tuple[Table, int]:
         ["ladder_rungs", float(len(state.ladder_coeffs))],
         ["component_count", float(state.kmax + 1)],
     ]
-    table = Table(
+    return Table(
         columns=["quantity", "value"],
         rows=rows,
         summary={"p": args.p, "j": args.j, "l": args.l, "kmax": args.kmax},
     )
-    return table, _EXIT_OK
 
 
-def _cmd_bessel(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_bessel(args: argparse.Namespace) -> Table:
     if args.kind == "i":
         result = bessel_i(args.nu, args.x)
     else:
         _require(args.x > 0.0, f"K_nu needs x > 0, got x = {args.x}")
         result = bessel_k(args.nu, args.x)
-    table = Table(
+    return Table(
         columns=["value", "terms_used", "tail_bound"],
         rows=[[result.value, result.terms_used, result.tail_bound]],
         summary={"kind": args.kind, "nu": args.nu, "x": args.x},
     )
-    return table, _EXIT_OK
 
 
-def _cmd_moments(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_moments(args: argparse.Namespace) -> Table:
     grid = radial_grid(args.p, args.j, args.nmax)
     rows = []
     worst = 0.0
@@ -337,7 +316,7 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[Table, int]:
         report = stieltjes_moment_check(args.kind, args.p, args.j, n, grid=grid)
         worst = max(worst, report.rel_err)
         rows.append([n, report.quadrature, report.closed_form, report.rel_err])
-    table = Table(
+    return Table(
         columns=["n", "quadrature", "closed_form", "rel_err"],
         rows=rows,
         summary={
@@ -347,10 +326,9 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[Table, int]:
             "x_max": grid.x_max,
         },
     )
-    return table, _EXIT_OK
 
 
-def _cmd_resolution(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_resolution(args: argparse.Namespace) -> Table:
     report = resolution_identity_check(
         args.p, args.j, args.ncheck, mode=args.mode, tol=args.tol
     )
@@ -359,7 +337,7 @@ def _cmd_resolution(args: argparse.Namespace) -> tuple[Table, int]:
     for m in range(args.ncheck + 1):
         for n in range(args.ncheck + 1):
             rows.append([m, n, float(report.entries[m, n]), float(deviations[m, n])])
-    table = Table(
+    return Table(
         columns=["m", "n", "entry", "deviation"],
         rows=rows,
         summary={
@@ -371,11 +349,11 @@ def _cmd_resolution(args: argparse.Namespace) -> tuple[Table, int]:
             "x_max": report.x_max,
             "passed": report.passed,
         },
+        passed=report.passed,
     )
-    return table, _EXIT_OK if report.passed else _EXIT_FAIL
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> tuple[Table, int]:
+def _cmd_verify_all(args: argparse.Namespace) -> Table:
     p_grid = (args.p,) if args.p is not None else P_GRID
     cutoff = args.cutoff if args.cutoff is not None else 8
     rows = []
@@ -392,15 +370,15 @@ def _cmd_verify_all(args: argparse.Namespace) -> tuple[Table, int]:
             result.runtime_seconds,
             result.detail,
         ])
-    table = Table(
+    return Table(
         columns=["name", "passed", "max_deviation", "tolerance", "runtime_seconds", "detail"],
         rows=rows,
         summary={"all_passed": all_passed, "total_runtime_seconds": total},
+        passed=all_passed,
     )
-    return table, _EXIT_OK if all_passed else _EXIT_FAIL
 
 
-_SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], tuple[Table, int]], str, dict]] = {
+_SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], Table], str, dict]] = {
     "basis": (_cmd_basis, "enumerate the truncated pattern basis with weights", {
         "p": {"help": "representation parameter, p > 1"},
         "cutoff": {"help": "degree cutoff N >= 0"},
@@ -492,12 +470,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _validate(args)
-        table, code = args.handler(args)
+        table = args.handler(args)
     except (ValueError, TypeError, TruncationError) as exc:
         print(f"parafock: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     _emit(table, args)
-    return code
+    return _EXIT_OK if table.passed else _EXIT_FAIL
 
 
 if __name__ == "__main__":

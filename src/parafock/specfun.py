@@ -93,7 +93,8 @@ def bessel_i(nu: float, x: float) -> SeriesResult:
             raise ValueError("I_nu(0) diverges for -1 < nu < 0")
         return SeriesResult(1.0 if nu == 0 else 0.0, 1, 0.0)
     half = x / 2.0
-    term = math.exp(_log_i_lead(nu, math.log(half)))
+    log_half = math.log(half) if half else math.log(x) - math.log(2.0)  # half of 5e-324 rounds to 0
+    term = math.exp(_log_i_lead(nu, log_half))
     if term == 0.0:
         return SeriesResult(0.0, 1, 0.0)
     total = term
@@ -324,7 +325,8 @@ def besseli_values(nu: float, xs: np.ndarray) -> np.ndarray:
     if not np.all(xs > 0):
         raise ValueError("all grid points must be positive")
     half = xs / 2.0
-    term = np.exp(_log_i_lead(nu, np.log(half)))
+    log_half = np.log(half, out=np.log(xs) - math.log(2.0), where=half > 0)  # half of 5e-324 rounds to 0
+    term = np.exp(_log_i_lead(nu, log_half))
     total = term.copy()
     q = half * half
     for n in range(_MAX_TERMS):

@@ -255,9 +255,6 @@ def check_bicoherent() -> CheckResult:
                         computed = math.sqrt(resid_sq) / d_norm
                         bound = state.eigen_residual_b2sq
                         worst = max(worst, computed / (bound * (1.0 + 1e-6) + 1e-15))
-                        a = state.ladder_coeffs
-                        b1_bound = abs(alpha) * abs(a[-1]) / float(np.linalg.norm(a))
-                        worst = max(worst, abs(state.eigen_residual_b1 - b1_bound) / 1e-15)
 
     p, j, l = 2.5, 0, 1
     alpha, beta = complex(1.2), complex(1.4)

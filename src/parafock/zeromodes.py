@@ -86,8 +86,6 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
     columns, lowering = algebra._h2_sector(basis, "b1-", k)
     m11 = basis.m11[columns]
     source = columns[m11 == j]
-    if not source.size:
-        return 0, []
     block = lowering.block(columns[m11 == j - 1], source).real  # no rows at j = 0
     # with no target rows the SVD returns no singular values and vh = identity
     _, s, vh = np.linalg.svd(block)

@@ -326,6 +326,7 @@ _EDGE_ARGV_OK = [
     f"coherent --p 2 --j {_HUGE} --k {_HUGE} --alpha=1,0",
     "bessel --kind i --nu 400 --x 50",
     "coherent --p 2 --j 316 --k 316 --alpha=5,0",
+    "bessel --kind i --nu 0 --x 5e-324",
 ]
 
 

@@ -5,10 +5,11 @@ report, the triple relations, the b2- oracle, the Bessel series values
 with their term counts, the coherent and cat coefficients, the bicoherent
 residual bounds, the quadrature moments and both resolutions of identity
 byte for byte.
-``verify-all`` is hashed without its runtime_seconds column and its
-total_runtime_seconds line, which are wall-clock times.  Outputs that go
-through BLAS or LAPACK (norms, inner products, the SVD of the kernel
-oracle) are pinned for the numpy build the suite runs on.
+``verify-all`` is hashed, in CSV and JSON, without its runtime_seconds
+column and its total_runtime_seconds line, which are wall-clock times.
+Runs in ``EXIT_CODES`` are pinned with their exit code as well.  Outputs
+that go through BLAS or LAPACK (norms, inner products, the SVD of the
+kernel oracle) are pinned for the numpy build the suite runs on.
 """
 
 import contextlib
@@ -243,8 +244,31 @@ GOLDEN = {
         "3b42b2b3f3336f8fd2714c7513211beb5a41ea6b213a6b136a540be21d78c7ce",
     "resolution --p 1.0000001 --j 0 --mode cat --ncheck 16 --format json":
         "26dd3385c42da32267060983a2f099b65e371d85e19650fc0bf361c70ddca8df",
+    # an empty table, and two verifications above their tolerance (exit 1)
+    "op-matrix --gen b1- --p 2.5 --cutoff 0 --format csv":
+        "7abd86373e4a9eeadcf8d8d6906ac4fad3e388540d85156b9fc4e8eb35747cec",
+    "op-matrix --gen b1- --p 2.5 --cutoff 0 --format json":
+        "619388cedfb7fe33461718441640e7b78a0fd4180c33c40824278cad1253dc8c",
+    "verify-triple --p 2.5 --cutoff 8 --tol 1e-20 --format csv":
+        "26f05bb38970bb6f068e85959087e936e19732ed705ba960d68f281c9fec9198",
+    "verify-triple --p 2.5 --cutoff 8 --tol 1e-20 --format json":
+        "da2e438ef5ed7e460a8818649d7cffb26aa75f7bcbc6af43977a55c735938b37",
+    "resolution --p 2.5 --j 1 --tol 1e-300 --format csv":
+        "15ec3bb45a26b0a565253b480161c88e402f4ccf6e3d53f25f7edc60ac308ce1",
+    "resolution --p 2.5 --j 1 --tol 1e-300 --format json":
+        "55f3daa121ff5c7e1baff656a091517ccbf0b2d464d313c8fa337fe1cbe019ff",
     "verify-all":
         "a5ab2e93f9bd4f079a3db2ad4ea25fdad4dd0848687bc4953656990982f6f1f6",
+    "verify-all --format json":
+        "cfe6ff04ff784d47e0ec7a128d36ae44feeaa776a217e9ff2845ba212052f542",
+}
+
+# runs that exit 1 because a verification is above its tolerance; every other run exits 0
+EXIT_CODES = {
+    "verify-triple --p 2.5 --cutoff 8 --tol 1e-20 --format csv": 1,
+    "verify-triple --p 2.5 --cutoff 8 --tol 1e-20 --format json": 1,
+    "resolution --p 2.5 --j 1 --tol 1e-300 --format csv": 1,
+    "resolution --p 2.5 --j 1 --tol 1e-300 --format json": 1,
 }
 
 
@@ -261,14 +285,32 @@ def _strip_runtimes(text):
     return "".join(lines)
 
 
+def _strip_json_runtimes(text):
+    """The JSON form of _strip_runtimes: drop each row's fifth element and the total line."""
+    lines = []
+    position = 0
+    for line in text.splitlines(keepends=True):
+        if line.strip() == "[":
+            position = 0
+        elif line.startswith(" " * 8) and not line.startswith(" " * 9):
+            # one element of a data row; the fifth is runtime_seconds
+            position += 1
+            if position == 5:
+                continue
+        if '"total_runtime_seconds": ' in line:
+            continue
+        lines.append(line)
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_cli_output_is_pinned(command):
     argv = command.split()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    assert code == 0
+    assert code == EXIT_CODES.get(command, 0)
     text = out.getvalue()
     if argv[0] == "verify-all":
-        text = _strip_runtimes(text)
+        text = _strip_json_runtimes(text) if "json" in argv else _strip_runtimes(text)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[command]

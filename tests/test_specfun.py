@@ -132,6 +132,20 @@ def test_besseli_values_is_zero_at_underflowing_orders():
     assert abs(mixed[1] - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.001, -0.5])
+def test_i_series_where_the_half_argument_underflows(nu):
+    # 5e-324 / 2 rounds to 0, so both routes take log(x) - log(2) there; I_0.001 is 0.4749..., not the limit 0
+    xs = (5e-324, 1e-323, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = [bessel_i(nu, x).value for x in xs]
+        grid = besseli_values(nu, np.array(xs))
+    for x, one, many in zip(xs, scalar, grid):
+        expected = float(mp.besseli(nu, mp.mpf(x)))
+        assert abs(one - expected) <= ORACLE_REL_TOL * expected
+        assert abs(many - expected) <= ORACLE_REL_TOL * expected
+
+
 def test_bessel_k_elementary_half_order():
     for x in (0.3, 1.0, 2.7, 10.0):
         expected = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
