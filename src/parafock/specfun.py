@@ -32,6 +32,7 @@ _SERIES_X_MAX = 50.0
 _HYP_X_MAX = 650.0
 _NU_MAX = 60.0
 _INTEGER_ORDER_MARGIN = 1e-6
+_LOG_HALF_TINIEST = math.log(5e-324) - math.log(2.0)  # log(x / 2) at x = 5e-324, whose half rounds to 0
 
 _GL24_NODES, _GL24_WEIGHTS = leggauss(24)
 
@@ -93,7 +94,7 @@ def bessel_i(nu: float, x: float) -> SeriesResult:
             raise ValueError("I_nu(0) diverges for -1 < nu < 0")
         return SeriesResult(1.0 if nu == 0 else 0.0, 1, 0.0)
     half = x / 2.0
-    log_half = math.log(half) if half else math.log(x) - math.log(2.0)  # half of 5e-324 rounds to 0
+    log_half = math.log(half) if half else _LOG_HALF_TINIEST
     term = math.exp(_log_i_lead(nu, log_half))
     if term == 0.0:
         return SeriesResult(0.0, 1, 0.0)
@@ -325,7 +326,7 @@ def besseli_values(nu: float, xs: np.ndarray) -> np.ndarray:
     if not np.all(xs > 0):
         raise ValueError("all grid points must be positive")
     half = xs / 2.0
-    log_half = np.log(half, out=np.log(xs) - math.log(2.0), where=half > 0)  # half of 5e-324 rounds to 0
+    log_half = np.log(half, out=np.full_like(half, _LOG_HALF_TINIEST), where=half > 0)
     term = np.exp(_log_i_lead(nu, log_half))
     total = term.copy()
     q = half * half

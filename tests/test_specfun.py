@@ -134,7 +134,7 @@ def test_besseli_values_is_zero_at_underflowing_orders():
 
 @pytest.mark.parametrize("nu", [0.0, 0.001, -0.5])
 def test_i_series_where_the_half_argument_underflows(nu):
-    # 5e-324 / 2 rounds to 0, so both routes take log(x) - log(2) there; I_0.001 is 0.4749..., not the limit 0
+    # 5e-324 / 2 rounds to 0, so both routes take log(5e-324) - log(2) there; I_0.001 is 0.4749..., not the limit 0
     xs = (5e-324, 1e-323, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
