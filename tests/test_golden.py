@@ -9,7 +9,8 @@ byte for byte.
 column and its total_runtime_seconds line, which are wall-clock times.
 Runs in ``EXIT_CODES`` are pinned with their exit code as well.  Outputs
 that go through BLAS or LAPACK (norms, inner products, the SVD of the
-kernel oracle) are pinned for the numpy build the suite runs on.
+kernel oracle) are pinned for the numpy build the suite runs on, and the
+``--help`` texts, wrapped at 80 columns, for the Python version's argparse.
 """
 
 import contextlib
@@ -101,6 +102,15 @@ GOLDEN = {
         "ca212d38644d4e8d63205143dd7f28d9b13fd96a1024fa811b7014d595ce809e",
     "zeromodes --p 3 --j 1 --k 1 --format json":
         "e8b1f06461ef47b975b099162e8d8a6e60d1d65b28d3f739fe5e8c2f4347d9d6",
+    # the zero-mode report at cutoff 200, the largest basis the envelope allows
+    "zeromodes --p 2.5 --j 100 --k 100 --format csv":
+        "57d083671fbfee8418cbf0e2c5724f78e5f288f377b44d40fc7d33d6c3097300",
+    "zeromodes --p 2.5 --j 100 --k 100 --format json":
+        "f12338f3d3256ada6e5478a1f2c95cf6fd37a76428263812c41b29cc197638ae",
+    "zeromodes --p 2.5 --j 0 --k 200 --format csv":
+        "2a84aabdb0c367d98d65323a1a48b369ed426d1568bd8af6a3585afed7bb2936",
+    "zeromodes --p 2.5 --j 0 --k 200 --format json":
+        "204a8b9564747bf4b24078dbeade0d4a4c13eafc4a90a8b36dd2a37602a781ac",
     "verify-triple --p 1.3 --cutoff 8":
         "405642a4f83398ee9fa0511c4c30fcecd9cb013165030cb5c81ce5236bbe8b46",
     "verify-triple --p 2.0 --cutoff 8":
@@ -261,6 +271,31 @@ GOLDEN = {
         "a5ab2e93f9bd4f079a3db2ad4ea25fdad4dd0848687bc4953656990982f6f1f6",
     "verify-all --format json":
         "cfe6ff04ff784d47e0ec7a128d36ae44feeaa776a217e9ff2845ba212052f542",
+    # the help of the program and of every subcommand, formatted for 80 columns
+    "--help":
+        "3bb217f751ce38274c386c5a2bc82263b684486c99e0fcdf6d1dff0b8b55e31e",
+    "basis --help":
+        "749a337d6e1a25135bc104fe2237ec04e0f8e898d7ebbf35595e3ea8571faca5",
+    "op-matrix --help":
+        "8f17eec59044a6c5c66f2d3b7ece7db41980c48b5859dfbdaaf6863cdb2af6f9",
+    "verify-triple --help":
+        "a1bb6cc9f5cf73d809a7577a8d3b5ebe6bb0e95c9e6092f20dbb3cef6c02d333",
+    "zeromodes --help":
+        "391e94cb3582f829f4ee1bdd111aa4c78c50b8ab9390c2cc0216811fdf77abbe",
+    "coherent --help":
+        "719249444f459885a41cbe16f03792206091ca5ebb1995b2ae217af9712c3a9a",
+    "b2-elements --help":
+        "74aee7972df7d61bfeb50b376db1d27c595c2f76504674fe5619802860bd8af2",
+    "bicoherent --help":
+        "2dc6d45b1d57a5399aef0b71fdeae1b6d3b0fec2e755ff256fc32759ad50cf14",
+    "bessel --help":
+        "9c3a4616b6a6678d3d5526df45121ec17f417f50c6ccaff99772224aba324973",
+    "moments --help":
+        "5737ca0d5608522d0261ad3d31047c77705910d206071f9984aa87bb10c30891",
+    "resolution --help":
+        "96669c56596a75271c2155674ea692db8c58a1ba9018783a435793bde04261ca",
+    "verify-all --help":
+        "1790a0d2344e4f0bd3398bec69f7710a9bb81c154d1d9cc3b87b4e0c37bb4dcd",
 }
 
 # runs that exit 1 because a verification is above its tolerance; every other run exits 0
@@ -304,7 +339,8 @@ def _strip_json_runtimes(text):
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
-def test_cli_output_is_pinned(command):
+def test_cli_output_is_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal width
     argv = command.split()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
