@@ -120,19 +120,17 @@ class SparseOperator:
         lo, hi = np.searchsorted(self.cols, (col, col + 1))
         return dict(zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()))
 
-    def apply(self, vec):
-        """Matrix-vector product; accepts and returns FockVector or ndarray."""
-        if isinstance(vec, FockVector):
-            return FockVector(vec.basis, self.apply(vec.coefficients))
-        x = np.asarray(vec)
+    def apply(self, vec: FockVector) -> FockVector:
+        """Matrix-vector product on a FockVector: ``apply_on`` over its nonzero entries.
+
+        A skipped zero would add only +-0 to a row sum that starts at +0, so any operator
+        holding a generator's entries in those columns gives the generator's product, bit for bit.
+        """
+        x = vec.coefficients
         if x.shape != (self.dim,):
             raise ValueError(f"vector shape {x.shape} does not match dim {self.dim}")
-        # a zero input only adds +-0 to a row sum that starts at +0, so skipping it changes no bit
         support = np.flatnonzero(x)
-        rows, values = self.apply_on(support, x[support])
-        y = np.zeros(self.dim, dtype=np.complex128)
-        y[rows] = values
-        return y
+        return FockVector.scatter(vec.basis, *self.apply_on(support, x[support]))
 
     def apply_on(self, support, x) -> tuple[np.ndarray, np.ndarray]:
         """Product with the vector that is ``x`` on the indices ``support``, 0 elsewhere.

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, algebra, coherent, resolution
 from .algebra import GENERATOR_NAMES, build_generator, verify_triple_relations
 from .coherent import (
     TruncationError,
@@ -51,6 +51,11 @@ _FORMATS = ("csv", "json")
 _EXIT_OK = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
+
+# The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
+# takes about 1.5 s and 75 MiB and verify-all about 10 s; both grow as cutoff**3
+# (cutoff 200 would take about 30 times the time and memory for each p).
+_RELATION_CUTOFF_MAX = 64
 
 
 def _parse_complex(text: str) -> complex:
@@ -79,8 +84,10 @@ _FLAGS: dict[str, tuple[dict, tuple[str, float] | None]] = {
     "k": ({"type": int, "required": True}, (">=", 0)),
     "l": ({"type": int, "required": True, "help": "branch label, l in {j, j+1}"}, (">=", 0)),
     "nmax": ({"type": int}, (">=", 1)),
-    "kmax": ({"type": int, "default": 12, "help": "component cutoff, 2 <= kmax <= 200"}, None),
-    "ncheck": ({"type": int, "default": 10, "help": "highest rung checked, ncheck <= 16"}, (">=", 0)),
+    "kmax": ({"type": int, "default": 12,
+              "help": f"component cutoff, 2 <= kmax <= {coherent._NMAX_CAP}"}, None),
+    "ncheck": ({"type": int, "default": 10,
+                "help": f"highest rung checked, ncheck <= {resolution._NCHECK_MAX}"}, (">=", 0)),
     "mode": ({"choices": ("offdiag", "cat"), "default": "offdiag"}, None),
     "kind": ({"required": True}, None),
     "nu": ({"type": float, "required": True, "help": "order"}, None),
@@ -219,8 +226,8 @@ def _cmd_zeromodes(args: argparse.Namespace) -> Table:
     rows = [[i, c] for i, c in enumerate(coeffs)]
     basis = enumerate_basis(args.p, args.j + args.k)
     vec = zero_mode_vector(basis, args.j, args.k)
-    b1m = build_generator(basis, "b1-")
-    residual = b1m.apply(vec).norm()
+    # b1- on the zero mode's h2 sector, which kernel_oracle shares, applies as the whole b1-
+    residual = algebra._h2_sector(basis, "b1-", args.k)[1].apply(vec).norm()
     dim, kernel_vectors = kernel_oracle(basis, args.j, args.k)
     alignment = abs(complex(kernel_vectors[0].inner(vec))) if dim == 1 else 0.0
     return Table(
@@ -387,14 +394,15 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], Table], str, dict]]
         "gen": {}, "p": {}, "cutoff": {},
     }),
     "verify-triple": (_cmd_verify_triple, "check all 64 triple relations on the interior", {
-        "p": {}, "cutoff": {"help": "degree cutoff, 3 <= cutoff <= 64"}, "tol": {"default": 1e-12},
+        "p": {}, "cutoff": {"help": f"degree cutoff, 3 <= cutoff <= {_RELATION_CUTOFF_MAX}"},
+        "tol": {"default": 1e-12},
     }),
     "zeromodes": (_cmd_zeromodes, "lowering-kernel vector at (j, k) with residuals", {
         "p": {}, "j": {}, "k": {},
     }),
     "coherent": (_cmd_coherent, "ladder coefficients of an eigenstate or cat state", {
         "p": {}, "j": {}, "k": {}, "alpha": {},
-        "nmax": {"help": "rung cutoff, 4 <= nmax <= 200 (default: automatic)"},
+        "nmax": {"help": f"rung cutoff, 4 <= nmax <= {coherent._NMAX_CAP} (default: automatic)"},
         "normalized": {}, "cat": {},
     }),
     "b2-elements": (_cmd_b2_elements, "closed-form b2- matrix elements vs the matrix engine", {
@@ -410,7 +418,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], Table], str, dict]]
     "moments": (_cmd_moments, "quadrature moments of one radial measure vs closed forms", {
         "p": {}, "j": {},
         "kind": {"choices": ("I", "II"), "help": "measure kind"},
-        "nmax": {"default": 5, "help": "highest moment, nmax <= 8"},
+        "nmax": {"default": 5, "help": f"highest moment, nmax <= {resolution._MOMENT_N_MAX}"},
     }),
     "resolution": (_cmd_resolution, "resolution-of-identity deviation matrix", {
         "p": {}, "j": {}, "ncheck": {}, "mode": {}, "tol": {"default": 1e-6},
@@ -419,7 +427,8 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], Table], str, dict]]
         "p": {"required": False,
               "help": "restrict the parameter-swept suites to one p (fixed-grid suites run unchanged)"},
         "cutoff": {"required": False,
-                   "help": "basis cutoff for the relation suites, 3 <= cutoff <= 64 (default 8)"},
+                   "help": "basis cutoff for the relation suites, "
+                           f"3 <= cutoff <= {_RELATION_CUTOFF_MAX} (default 8)"},
     }),
 }
 
@@ -440,12 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", default=None, metavar="PATH", help="write to PATH instead of stdout")
         sub.set_defaults(handler=handler)
     return parser
-
-
-# The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
-# takes about 1.5 s and 75 MiB and verify-all about 10 s; both grow as cutoff**3
-# (cutoff 200 would take about 30 times the time and memory for each p).
-_RELATION_CUTOFF_MAX = 64
 
 
 def _validate(args: argparse.Namespace) -> None:

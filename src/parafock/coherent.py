@@ -18,7 +18,7 @@ import numpy as np
 from . import algebra
 from .fockspace import FockBasis, FockVector, _require_integers, even_ind, odd_ind
 from .specfun import bessel_i, hyp0f1
-from .zeromodes import _scatter, _validate_family, ladder_rungs, ladder_step
+from .zeromodes import _validate_family, ladder_rungs, ladder_step
 
 _ALPHA_MAX = 5.0
 _NMAX_CAP = 200
@@ -66,10 +66,11 @@ def build_coherent(
     """Construct the truncated eigenstate of b1- with eigenvalue alpha over (j, k).
 
     With ``nmax=None`` the rung count is chosen as the smallest even index
-    whose coefficient has decayed below 1e-16 of the running peak, capped at
-    200.  An explicit ``nmax`` must lie in 4 .. 200 and be large enough to
-    reach the decaying regime, otherwise the truncation is not meaningful and
-    a TruncationError is raised.
+    whose coefficient has decayed below 1e-16 of the running peak and where
+    |alpha| / sqrt(n + 1), which bounds every later coefficient ratio, is
+    below 1, capped at 200.  An explicit ``nmax`` must lie in 4 .. 200 and be
+    large enough to reach the decaying regime, otherwise the truncation is
+    not meaningful and a TruncationError is raised.
     """
     _validate_family(j, k, p)
     alpha = complex(alpha)
@@ -83,7 +84,8 @@ def build_coherent(
     n = 0
     while True:
         if nmax is None:
-            if n >= 4 and n % 2 == 0 and abs(coeffs[-1]) < _AUTO_DECAY * peak:
+            if (n >= 4 and n % 2 == 0 and abs(coeffs[-1]) < _AUTO_DECAY * peak
+                    and abs(alpha) / math.sqrt(n + 1) < 1.0):
                 break
             if n >= _NMAX_CAP:
                 raise TruncationError(
@@ -203,7 +205,7 @@ def _ladder_terms(coeffs: np.ndarray, rungs) -> tuple[np.ndarray, np.ndarray]:
 
 def to_fock_vector(basis: FockBasis, s: CoherentState) -> FockVector:
     """Assemble the state on a pattern basis; needs cutoff >= k + j + nmax."""
-    return _scatter(basis, *_ladder_terms(s.coeffs, ladder_rungs(basis, s.j, s.k, s.nmax)))
+    return FockVector.scatter(basis, *_ladder_terms(s.coeffs, ladder_rungs(basis, s.j, s.k, s.nmax)))
 
 
 def b2_element(
@@ -273,7 +275,7 @@ def b2_element_oracle(
     image = _cached_terms(basis, "b2 image", j, k, alpha, nmax,
                           lambda terms: algebra._h2_sector(basis, "b2-", k)[1].apply_on(*terms))
     # full-size vectors: a vdot over compacted ones changes the last bits
-    return _scatter(basis, *bra).inner(_scatter(basis, *image))
+    return FockVector.scatter(basis, *bra).inner(FockVector.scatter(basis, *image))
 
 
 def _cached_terms(basis: FockBasis, tag: str, j: int, k: int, alpha: complex, nmax: int, finish):

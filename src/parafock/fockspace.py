@@ -184,11 +184,18 @@ class FockVector:
         self.coefficients = arr
 
     @classmethod
+    def scatter(cls, basis: FockBasis, index, values) -> "FockVector":
+        """The vector that is ``values`` at ``index``, 0 elsewhere: the one way from sparse pairs."""
+        vec = np.zeros(basis.size, dtype=np.complex128)
+        vec[index] = values
+        return cls(basis, vec)
+
+    @classmethod
     def unit(cls, basis: FockBasis, pattern: GZPattern) -> "FockVector":
         index = basis.find(pattern.m12, pattern.m22, pattern.m11)
         if index < 0:
             raise KeyError(pattern)
-        return cls(basis, np.where(np.arange(basis.size) == index, 1.0, 0.0))
+        return cls.scatter(basis, index, 1.0)
 
     def _check_basis(self, other: "FockVector") -> None:
         a, b = self.basis, other.basis

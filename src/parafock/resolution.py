@@ -274,9 +274,9 @@ def resolution_identity_check(
     by (K_(q-1) - K_q): even rungs collect 2 K_(q-1) and odd rungs 2 K_q,
     and the normalization I-sum appears in numerator and denominator alike.
     Mode ``cat`` integrates the even and odd cat-state densities against
-    I K of a single order each.  The modes cancel their I factors in
-    genuinely different arrangements, so their agreement is a live check,
-    not a restatement.
+    I K of a single order each.  Both modes divide their I factor out again
+    at every node, so the I columns cancel: the modes agree with each other
+    and with an I-free sum to rounding, and no check can see a wrong I column.
     """
     q = _validate_measure_args("I", p, j)
     if mode not in _MODES:

@@ -62,23 +62,16 @@ def zero_mode_coeffs(j: int, k: int, p: float) -> np.ndarray:
 
 def zero_mode_vector(basis: FockBasis, j: int, k: int) -> FockVector:
     """The zero mode as a vector on ``basis``; needs cutoff >= k + j."""
-    return _scatter(basis, *ladder_rungs(basis, j, k, 0)[0])
-
-
-def _scatter(basis: FockBasis, index: np.ndarray, values: np.ndarray) -> FockVector:
-    vec = np.zeros(basis.size, dtype=np.complex128)
-    vec[index] = values
-    return FockVector(basis, vec)
+    return FockVector.scatter(basis, *ladder_rungs(basis, j, k, 0)[0])
 
 
 def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVector]]:
     """Kernel of b1- restricted to the weight block (p/2 + j, p/2 + k), via SVD.
 
-    Returns the kernel dimension and an orthonormal basis of the null space
-    embedded in the full space.  This is a formula-free route: it only uses
-    the generator matrix, built on the h2 = p/2 + k patterns once per basis,
-    and dense linear algebra, so it cross-checks the closed-form coefficients
-    independently.  ``j > k`` blocks are allowed (their kernel is empty).
+    Returns the kernel dimension and an orthonormal basis of the null space,
+    scattered into the full space.  The route is formula-free: b1- on the
+    h2 = p/2 + k patterns, built once per basis and shared with the zero-mode
+    residuals, and dense linear algebra.  ``j > k`` blocks have an empty kernel.
     """
     _require_integers(0, j=j, k=k)
     if k + j > basis.cutoff:
@@ -91,11 +84,7 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
     _, s, vh = np.linalg.svd(block)
     threshold = _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > threshold))
-    null_dim = source.size - rank
-    null_vectors = vh[rank:].conj().T
-    full = np.zeros((null_dim, basis.size), dtype=np.complex128)
-    full[:, source] = null_vectors.T
-    return null_dim, [FockVector(basis, row) for row in full]
+    return source.size - rank, [FockVector.scatter(basis, source, v) for v in vh[rank:].conj()]
 
 
 def ladder_step(p: float, j: int, n: int) -> float:
@@ -136,7 +125,7 @@ def ladder_family(basis: FockBasis, j: int, k: int, nmax: int) -> list[FockVecto
     Exactness of every rung needs k + j + nmax <= cutoff, since each raising
     step can push m12 up by one from its maximum k + j on the zero mode.
     """
-    return [_scatter(basis, *rung) for rung in ladder_rungs(basis, j, k, nmax)]
+    return [FockVector.scatter(basis, *rung) for rung in ladder_rungs(basis, j, k, nmax)]
 
 
 def ladder_rungs(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:

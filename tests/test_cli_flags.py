@@ -327,6 +327,9 @@ _EDGE_ARGV_OK = [
     "bessel --kind i --nu 400 --x 50",
     "coherent --p 2 --j 316 --k 316 --alpha=5,0",
     "bessel --kind i --nu 0 --x 5e-324",
+    # the automatic rung count once stopped where |alpha| / sqrt(n + 1) >= 1 and then refused the state
+    "coherent --p 2.5 --j 20000 --k 20000 --alpha=5,0",
+    "bicoherent --p 2.5 --j 20000 --l 20000 --alpha=0,5 --beta=1,0",
 ]
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parafock import (
     b2_element,
@@ -27,6 +29,8 @@ from parafock import (
     to_fock_vector,
     zero_mode_vector,
 )
+from parafock.coherent import TruncationError
+from reference_rungs import reference_auto_coherent
 
 NORM_ROUTE_TOL = 1e-12
 OVERLAP_TOL = 1e-13
@@ -167,6 +171,22 @@ def test_build_coherent_validation():
         build_coherent(2.5, 2, 1, 0.5)
     with pytest.raises(ValueError):
         build_coherent(0.9, 0, 0, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.01, 120.0), j=st.integers(0, 10**7), magnitude=st.floats(0.0, 5.0),
+       angle=st.floats(-math.pi, math.pi))
+@example(p=2.5, j=20000, magnitude=5.0, angle=0.0)
+def test_automatic_rung_count_keeps_every_state_the_former_loop_accepted(p, j, magnitude, angle):
+    alpha = cmath.rect(magnitude, angle)
+    state = build_coherent(p, j, j, alpha)
+    assert abs(alpha) / math.sqrt(state.nmax + 1) < 1.0
+    try:
+        coeffs, tail = reference_auto_coherent(p, j, alpha)
+    except TruncationError:
+        return  # the former loop stopped short of the decaying regime; the state is now built
+    assert state.coeffs.tobytes() == coeffs.tobytes()
+    assert np.float64(state.tail_bound).tobytes() == np.float64(tail).tobytes()
 
 
 def test_normalized_flag():

@@ -1,5 +1,7 @@
 """Tests for lowering-kernel vectors, ladder states, and squared-shift scalars."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -97,6 +99,26 @@ def test_annihilation_and_weight_support():
         for idx in np.nonzero(vec.coefficients)[0]:
             m = basis.patterns[idx]
             assert m.m11 == j and m.degree == k + j
+
+
+def test_zeromodes_report_at_cutoff_200_builds_no_whole_generator(monkeypatch):
+    from parafock import cli
+
+    whole, assemble = [], algebra._assemble
+
+    def counting(basis, name, columns):
+        if len(columns) == basis.size:
+            whole.append(name)
+        return assemble(basis, name, columns)
+
+    def refuse(basis, name):
+        raise AssertionError(f"build_generator({name!r}) called")
+
+    monkeypatch.setattr(algebra, "_assemble", counting)
+    monkeypatch.setattr(cli, "build_generator", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["zeromodes", "--p", "2.5", "--j", "100", "--k", "100"]) == 0
+    assert whole == []
 
 
 def test_zero_modes_are_orthonormal_across_families():
