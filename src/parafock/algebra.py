@@ -133,26 +133,41 @@ class SparseOperator:
         return FockVector.scatter(vec.basis, *self.apply_on(support, x[support]))
 
     def apply_on(self, support, x) -> tuple[np.ndarray, np.ndarray]:
-        """Product with the vector that is ``x`` on the indices ``support``, 0 elsewhere.
+        """Product with the vector that is ``x`` on ``support``, 0 elsewhere: the one-step ``walk``."""
+        return self.walk(support, x, (None,))[0]
 
-        The engine's one operator-vector walk: one ``searchsorted`` pair finds
-        the support's entries, and each row reached adds its terms from 0j in
-        support order, on Python scalars.  Returns the sorted rows reached and
-        their complex values.
+    def walk(self, support, x, divisors) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Repeated products from the vector that is ``x`` on ``support``: (rows, values) per step.
+
+        The engine's one operator-vector walk.  Step n multiplies the vector of step n - 1 and
+        divides the result by ``divisors[n]`` in numpy (None: no division).  One ``searchsorted``
+        pair per step finds the entries of its columns, each row reached adds its terms from 0j
+        in support order, on Python scalars, and the rows come out sorted.  The entries are
+        listed once per call: all of them for several steps, only the span its support touches
+        for one step, however large the operator.
         """
         support = np.asarray(support, dtype=np.intp)
-        first = self.cols.searchsorted(support).tolist()
-        last = self.cols.searchsorted(support, side="right").tolist()
-        # the touched span of entries; the support need not be sorted or distinct
-        lo, hi = min(first, default=0), max(last, default=0)
-        rows, vals = self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()
-        sums = {}
-        for start, stop, xi in zip(first, last, np.asarray(x).tolist(), strict=True):
-            for e in range(start - lo, stop - lo):
-                sums[rows[e]] = sums.get(rows[e], 0j) + vals[e] * xi
-        reached = sorted(sums)
-        return (np.array(reached, dtype=self.rows.dtype),
-                np.array([sums[row] for row in reached], dtype=np.complex128))
+        steps, rows = [], None
+        for divisor in divisors:
+            first = self.cols.searchsorted(support).tolist()
+            last = self.cols.searchsorted(support, side="right").tolist()
+            if rows is None:
+                lo, hi = 0, self.nnz
+                if len(divisors) == 1:
+                    # the touched span; the support need not be sorted or distinct
+                    lo, hi = min(first, default=0), max(last, default=0)
+                rows, vals = self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()
+            sums = {}
+            for start, stop, xi in zip(first, last, np.asarray(x).tolist(), strict=True):
+                for e in range(start - lo, stop - lo):
+                    sums[rows[e]] = sums.get(rows[e], 0j) + vals[e] * xi
+            reached = sorted(sums)
+            x = np.array([sums[row] for row in reached], dtype=np.complex128)
+            if divisor is not None:
+                x = x / divisor
+            support = np.array(reached, dtype=self.rows.dtype)
+            steps.append((support, x))
+        return steps
 
     def adjoint(self) -> "SparseOperator":
         return SparseOperator._accumulate(self.dim, self.cols, self.rows, np.conj(self.vals))

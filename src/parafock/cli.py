@@ -9,7 +9,8 @@ digits and JSON with their shortest round-trip form, so identical inputs give
 byte-identical output.
 
 Exit codes: 0 success, 1 a verification subcommand found a deviation above
-tolerance, 2 usage error (unknown flags, out-of-range parameters).
+tolerance, 2 usage error (unknown flags, out-of-range parameters, an --output
+path that cannot be written).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .resolution import (
 )
 from .specfun import bessel_i, bessel_k
 from .verify import ALL_CHECKS, P_GRID, run_all  # noqa: F401 (cli.ALL_CHECKS stays public)
-from .zeromodes import kernel_oracle, zero_mode_coeffs, zero_mode_vector
+from .zeromodes import _validate_family, kernel_oracle, zero_mode_coeffs, zero_mode_vector
 
 _FORMATS = ("csv", "json")
 _EXIT_OK = 0
@@ -153,13 +154,19 @@ def _render_json(table: Table, args: argparse.Namespace) -> str:
     return json.dumps({"meta": _meta(args), "data": data}, indent=2, default=_plain) + "\n"
 
 
-def _emit(table: Table, args: argparse.Namespace) -> None:
+def _emit(table: Table, args: argparse.Namespace) -> bool:
+    """Write the table; False, with a message, when ``--output`` cannot be written."""
     text = _render_csv(table) if args.format == "csv" else _render_json(table, args)
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"parafock: error: cannot write the output file: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _require(condition: bool, message: str) -> None:
@@ -222,9 +229,11 @@ def _cmd_verify_triple(args: argparse.Namespace) -> Table:
 
 def _cmd_zeromodes(args: argparse.Namespace) -> Table:
     _require(args.j <= args.k, f"the kernel at (j, k) = ({args.j}, {args.k}) is trivial; need j <= k")
+    # the p and cutoff checks come before the coefficient loop, which is O(k)
+    _validate_family(args.j, args.k, args.p)
+    basis = enumerate_basis(args.p, args.j + args.k)
     coeffs = zero_mode_coeffs(args.j, args.k, args.p)
     rows = [[i, c] for i, c in enumerate(coeffs)]
-    basis = enumerate_basis(args.p, args.j + args.k)
     vec = zero_mode_vector(basis, args.j, args.k)
     # b1- on the zero mode's h2 sector, which kernel_oracle shares, applies as the whole b1-
     residual = algebra._h2_sector(basis, "b1-", args.k)[1].apply(vec).norm()
@@ -434,6 +443,11 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[argparse.Namespace], Table], str, dict]]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(_SUBCOMMANDS)
+
+
+def _parser(names: Iterable[str]) -> argparse.ArgumentParser:
+    """The CLI parser with the subcommands ``names`` only."""
     parser = argparse.ArgumentParser(
         prog="parafock",
         description="Paraboson Fock representation engine: basis tables, generator "
@@ -441,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"parafock {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    for name, (handler, help_text, overrides) in _SUBCOMMANDS.items():
+    for name in names:
+        handler, help_text, overrides = _SUBCOMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
         for flag, extra in overrides.items():
             sub.add_argument("--" + flag.replace("_", "-"), **{**_FLAGS[flag][0], **extra})
@@ -467,8 +482,12 @@ def _validate(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading subcommand takes every later token, so no other subcommand is read: not for
+    # help, not for an error (the top-level usage names them only as SUBCOMMAND)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser(names).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -477,7 +496,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TypeError, TruncationError) as exc:
         print(f"parafock: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    _emit(table, args)
+    if not _emit(table, args):
+        return _EXIT_USAGE
     return _EXIT_OK if table.passed else _EXIT_FAIL
 
 

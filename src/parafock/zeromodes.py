@@ -151,9 +151,7 @@ def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
     rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
     if nmax:
         columns, raise_op = algebra._h2_sector(basis, "b1+", k)
-        for n in range(nmax):
-            index, values = raise_op.apply_on(*rungs[-1])
-            rungs.append((index, values / ladder_step(basis.p, j, n)))
+        rungs += raise_op.walk(*rungs[0], [ladder_step(basis.p, j, n) for n in range(nmax)])
         if (algebra._position(columns, np.concatenate([index for index, _ in rungs[:-1]])) < 0).any():
             raise RuntimeError(f"a rung of the ({j}, {k}) ladder leaves the columns b1+ was built on")
     for index, values in rungs:

@@ -494,6 +494,61 @@ def test_apply_on_adds_each_row_in_support_order():
     assert values.tobytes() == reference_apply_on(op, support, x)[1].tobytes()
 
 
+def _reference_walk(op, support, x, divisors):
+    """The walk as one former ``np.unique`` apply_on per step, each divided in numpy."""
+    steps = []
+    for divisor in divisors:
+        support, x = reference_apply_on(op, support, x)
+        if divisor is not None:
+            x = x / divisor
+        steps.append((support, x))
+    return steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 6), data=st.data())
+def test_walk_matches_one_apply_on_per_step_bit_for_bit(dim, data):
+    # dense small operators with real entries, as the generators have: rows sum three or
+    # more terms, so the order of the terms shows
+    positions = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    entries = data.draw(st.lists(st.tuples(positions, st.floats(-1e3, 1e3)), max_size=3 * dim))
+    op = SparseOperator.from_entries(dim, [(r, c, v) for (r, c), v in entries])
+    support = np.array(data.draw(st.lists(st.integers(0, dim - 1))), dtype=np.intp)
+    x = _draw_inputs(data, support.size)
+    divisors = data.draw(st.lists(st.one_of(st.none(), st.floats(0.1, 10.0)), min_size=1, max_size=6))
+    got, want = op.walk(support, x, divisors), _reference_walk(op, support, x, divisors)
+    assert len(got) == len(want) == len(divisors)
+    for (rows, values), (ref_rows, ref_values) in zip(got, want):
+        _assert_same_bytes(rows, ref_rows)
+        _assert_same_bytes(values, ref_values)
+
+
+def test_walk_feeds_each_step_its_rows_in_ascending_order():
+    # step 1 reaches rows 0, 1, 2 with 1, 1e16, -1e16 and step 2 adds them into row 3:
+    # 1 + 1e16 rounds to 1e16, so only the ascending order of the rows sums to 0
+    op = SparseOperator.from_entries(4, [(0, 3, 1.0), (1, 3, 1e16), (2, 3, -1e16),
+                                         (3, 0, 1.0), (3, 1, 1.0), (3, 2, 1.0)])
+    steps = op.walk([3], [1.0], [None, None])
+    assert steps[0][0].tolist() == [0, 1, 2]
+    assert steps[1][0].tolist() == [3] and steps[1][1].tolist() == [0j]
+    assert steps[1][1].tobytes() == _reference_walk(op, [3], [1.0], [None, None])[1][1].tobytes()
+
+
+def test_one_step_lists_only_the_entries_of_its_support():
+    import tracemalloc
+
+    basis = enumerate_basis(P_TEST, 40)
+    op = build_generator(basis, "b2+")
+    tracemalloc.start()
+    try:
+        op.apply_on([basis.size // 2], [1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # listing all 24,000-odd entries would take over 2 MB of Python objects
+    assert peak < 10_000, peak
+
+
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(GENERATOR_NAMES), p=st.floats(1.01, 120.0),
        cutoff=st.integers(0, 12), data=st.data())

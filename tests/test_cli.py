@@ -1,5 +1,7 @@
-"""End-to-end tests of the command line interface via subprocess."""
+"""End-to-end tests of the command line interface, via subprocess and, for the parser, in process."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+
+from parafock import cli
 
 CLI = [sys.executable, "-m", "parafock.cli"]
 
@@ -265,6 +269,54 @@ def test_output_flag_writes_the_file(tmp_path):
     assert proc.stdout == ""
     content = target.read_text()
     assert content.splitlines()[0] == "m12,m22,m11,w1,w2,index"
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_output_to_an_unwritable_path_exits_2(tmp_path, where):
+    target = tmp_path / "absent" / "basis.csv" if where == "missing-parent" else tmp_path
+    proc = run_cli("basis", "--p", "3", "--cutoff", "1", "--output", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parafock: error: cannot write the output file:")
+    assert str(target) in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_rendering_error_is_not_reported_as_a_usage_error(monkeypatch):
+    # only a failed --output write is a usage error; a fault in the program keeps its traceback
+    def broken_render(table):
+        raise ValueError("broken renderer")
+
+    monkeypatch.setattr(cli, "_render_csv", broken_render)
+    with pytest.raises(ValueError, match="broken renderer"):
+        cli.main(["basis", "--p", "3", "--cutoff", "1"])
+
+
+def _printed(call):
+    """Exit code, stdout and stderr of ``call()``, which may end in argparse's SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code or 0, out.getvalue(), err.getvalue()
+
+
+# help and usage errors, before and after a subcommand; main builds the one leading
+# subcommand's parser only, so each must print what the parser of all subcommands prints
+_PARSER_ARGV = [
+    [], ["--help"], ["--version"], ["-h", "basis"], ["--bogus", "basis"], ["nosuch", "--p", "3"],
+    ["-1", "basis"], ["--", "basis"], ["basis"], ["basis", "--p"], ["basis", "--p", "3", "--bogus"],
+    ["basis", "--cutoff", "x", "--p", "3"], ["basis", "--p", "3", "b2-elements"],
+    ["b2-elements", "--p", "2.5", "--j", "0", "--alpha=1,0"],
+    ["verify-all", "-h", "--bogus"], ["zeromodes", "--format", "xml"],
+] + [[name, "--help"] for name in cli._SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_main_prints_the_help_and_errors_of_the_whole_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _printed(lambda: cli.main(argv)) == _printed(lambda: cli.build_parser().parse_args(argv))
 
 
 def test_version_flag():

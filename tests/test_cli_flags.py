@@ -311,6 +311,8 @@ _EDGE_ARGV = [
     "b2-elements --p 2.5 --j 0 --k 1 --alpha=0.5,0 --alpha-prime=0.5,0 --nmax 3",
     "moments --p 2.5 --j 0 --kind I --nmax 1000",
     "verify-triple --p 2.5 --cutoff 65",
+    # past the cutoff envelope: rejected before the O(k) coefficient loop
+    "zeromodes --p 2.5 --j 0 --k 20000000",
 ]
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parafock import (
@@ -316,6 +316,12 @@ def _ladders(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(1.0, 120.0, exclude_min=True), ladder=_ladders())
+# nmax = 0 and 1, and the three (j, k) shapes of the cutoff-60 b2-elements benchmark
+@example(p=2.5, ladder=(60, 1, 2, 0))
+@example(p=2.5, ladder=(60, 0, 3, 1))
+@example(p=1.3, ladder=(60, 0, 2, 58))
+@example(p=2.5, ladder=(60, 1, 2, 57))
+@example(p=7.9, ladder=(60, 0, 3, 57))
 def test_scalar_climb_matches_the_apply_on_walk_bit_for_bit(p, ladder):
     _assert_climb_matches_reference(p, *ladder)
 
@@ -323,3 +329,32 @@ def test_scalar_climb_matches_the_apply_on_walk_bit_for_bit(p, ladder):
 @pytest.mark.parametrize("j, k", [(1, 2), (0, 100)])
 def test_scalar_climb_matches_the_apply_on_walk_at_cutoff_200(j, k):
     _assert_climb_matches_reference(2.5, 200, j, k, 200 - k - j)
+
+
+def test_b2_elements_walks_each_ladder_in_one_call(monkeypatch, capsys):
+    from parafock import cli
+
+    walks, walk, h2_sector = [], algebra.SparseOperator.walk, algebra._h2_sector
+    raising = []
+
+    def recording_h2_sector(basis, name, k):
+        columns, op = h2_sector(basis, name, k)
+        if name == "b1+":
+            raising.append(op)
+        return columns, op
+
+    def counting_walk(self, support, x, divisors):
+        walks.append((self, len(divisors)))
+        return walk(self, support, x, divisors)
+
+    monkeypatch.setattr(algebra, "_h2_sector", recording_h2_sector)
+    monkeypatch.setattr(algebra.SparseOperator, "walk", counting_walk)
+    argv = ["b2-elements", "--p", "2.5", "--j", "1", "--k", "2",
+            "--alpha", "0.7,0.2", "--alpha-prime", "0.3,-0.5", "--nmax", "57"]
+    assert cli.main(argv) == 0
+    assert "# cutoff=60" in capsys.readouterr().out.splitlines()
+    # three ladders (jp = 0 and 1 at k = 1, j = 1 at k = 2), each one b1+ walk of 57 steps
+    climbs = [steps for op, steps in walks if any(op is b1p for b1p in raising)]
+    assert climbs == [57, 57, 57]
+    # the rest are the one-step b2- images of the ket, once for all three jp
+    assert [steps for op, steps in walks if not any(op is b1p for b1p in raising)] == [1]
