@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .fockspace import FockBasis, FockVector, _ranges, cartan_weights, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, cartan_weights, even_ind, odd_ind
 
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
@@ -71,16 +71,19 @@ class SparseOperator:
     The constructor takes entries sorted by (col, row) without repeats;
     ``from_entries`` takes any triplets.  Sums and products add the terms
     of each entry in a fixed order (column, right factor entry, left factor
-    entry) and drop exact zeros.  The three arrays are read-only views.
+    entry) and drop exact zeros.  The three arrays are read-only views, so
+    the column offsets a product reads from its left factor are computed
+    once per operator and kept.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals")
+    __slots__ = ("dim", "rows", "cols", "vals", "_starts")
 
     def __init__(self, dim: int, rows, cols, vals):
         self.dim = dim
         self.rows, self.cols, self.vals = (np.asarray(a).view() for a in (rows, cols, vals))
         for a in (self.rows, self.cols, self.vals):
             a.flags.writeable = False
+        self._starts = None
 
     @classmethod
     def _accumulate(cls, dim: int, rows, cols, vals) -> "SparseOperator":
@@ -90,11 +93,16 @@ class SparseOperator:
         # a stable sort keeps each position's terms in input order; timsort merges the sorted runs
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        start = np.ones(len(keys), dtype=bool)
-        start[1:] = keys[1:] != keys[:-1]
-        sums = _sum_by(np.cumsum(start) - 1, np.asarray(vals)[order], int(start.sum()))
+        start = np.empty(len(keys), dtype=bool)
+        start[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=start[1:])
+        del keys  # not needed for the sums; freeing it lowers the peak of a large sum
+        heads = np.flatnonzero(start)
+        index = np.cumsum(start)
+        index -= 1
+        sums = _sum_by(index, np.asarray(vals)[order], len(heads))
         keep = sums != 0
-        first = order[start][keep]
+        first = order[heads[keep]]
         return cls(dim, rows[first], cols[first], sums[keep])
 
     @classmethod
@@ -103,8 +111,14 @@ class SparseOperator:
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SparseOperator":
+        """Operator from (row, col, value) triplets in any order; repeated positions add up."""
         triplets = list(entries)
         rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+        rows, cols = (np.asarray(a, dtype=np.intp) for a in (rows, cols))
+        outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"entry ({rows[i]}, {cols[i]}) lies outside the {dim} x {dim} matrix")
         return cls._accumulate(dim, rows, cols, vals)
 
     @property
@@ -175,12 +189,16 @@ class SparseOperator:
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        starts = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.dim))))
+        if self._starts is None:
+            # offset of each column's first entry, nnz at the end: once per left factor
+            self._starts = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.dim))))
+            self._starts.flags.writeable = False
+        starts = self._starts
         first = starts[other.rows]
         count = starts[other.rows + 1] - first
-        # pair every right entry (k, col) with each left entry of column k
+        # pair every right entry (k, col) with each left entry of column k, in column order
         right = np.repeat(np.arange(other.nnz), count)
-        left = _ranges(first, count)
+        left = (first - np.cumsum(count) + count)[right] + np.arange(len(right))
         return SparseOperator._accumulate(
             self.dim,
             self.rows[left],
@@ -346,6 +364,9 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     built on degree <= cutoff - 2 only: bit for bit the full one there.  Swapping
     (j, xi) and (k, eta) changes only the order of two-term sums, which commute
     exactly, so each of the 10 unordered pairs is evaluated once for both orders.
+
+    Each generator and anticommutator is cut to the interior once.  A right side is
+    built, as one sum, only where it is nonzero: adding an empty operator changes no bit.
     """
     gens = {
         (mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
@@ -354,18 +375,19 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     }
     interior, reach = basis.interior_indices(3), basis.interior_indices(2)
     inner = {key: gen.on_columns(interior) for key, gen in gens.items()}
-    zero = SparseOperator.zero(basis.size)
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
         anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator", columns=reach)
-        for (l, eps) in gens.keys():
-            lhs = bracket(anti, gens[(l, eps)], "commutator", columns=interior)
-            rhs = zero
+        anti_inner = anti.on_columns(interior)
+        for (l, eps), gen in gens.items():
+            lhs = anti @ inner[(l, eps)] - gen @ anti_inner
+            rhs = None
             if l == j and eps != xi:
-                rhs = rhs + float(eps - xi) * inner[(k, eta)]
+                rhs = float(eps - xi) * inner[(k, eta)]
             if l == k and eps != eta:
-                rhs = rhs + float(eps - eta) * inner[(j, xi)]
-            dev = (lhs - rhs).max_abs()
+                term = float(eps - eta) * inner[(j, xi)]
+                rhs = term if rhs is None else rhs + term
+            dev = (lhs if rhs is None else lhs - rhs).max_abs()
             deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = dev
     results = [
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])

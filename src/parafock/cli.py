@@ -54,7 +54,7 @@ _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 
 # The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
-# takes about 1.5 s and 75 MiB and verify-all about 10 s; both grow as cutoff**3
+# takes 1.2-1.4 s and 72 MiB and verify-all about 6 s; both grow as cutoff**3
 # (cutoff 200 would take about 30 times the time and memory for each p).
 _RELATION_CUTOFF_MAX = 64
 

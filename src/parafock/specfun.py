@@ -9,7 +9,8 @@ in double precision once x exceeds a few units (the summands grow like e^x
 while the result decays like e^-x), so they are evaluated in escalated
 working precision sized from that loss estimate and rounded to a double at
 the end.  The term loops run on Python integers scaled by 2^prec at those
-working digits; mpmath supplies only the one-off prefactors.  An independent
+working digits; mpmath supplies only the one-off prefactors, and the first
+``bessel_k`` call imports it.  An independent
 integral-representation evaluator serves as oracle and as the stable backend
 for quadrature grids; it and the radial grids share one Gauss-Legendre panel rule.
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -131,6 +131,7 @@ def _besseli_series_mp(mu: float, x: float, digits: int):
     precision, each term is truncated toward zero, and the sum stops once
     |term| < 10^-(digits - 6) |total|.
     """
+    import mpmath
     ten = 10 ** (digits - 6)
     term = mpmath.power(mpmath.mpf(x) / 2, mu) / mpmath.gamma(mpmath.mpf(mu) + 1)
     s = mpmath.mp.prec + 24 - mpmath.mag(term)
@@ -149,6 +150,7 @@ def _besseli_series_mp(mu: float, x: float, digits: int):
 
 
 def _bessel_k_reflection(nu: float, x: float, digits: int) -> tuple[float, int]:
+    import mpmath
     with mpmath.workdps(digits):
         iplus, n1 = _besseli_series_mp(nu, x, digits)
         iminus, n2 = _besseli_series_mp(-nu, x, digits)
@@ -157,6 +159,7 @@ def _bessel_k_reflection(nu: float, x: float, digits: int) -> tuple[float, int]:
 
 
 def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
+    import mpmath
     with mpmath.workdps(digits):
         half = mpmath.mpf(x) / 2
         finite = mpmath.mpf(0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from parafock import (
     verify_triple_relations,
     zero_mode_vector,
 )
+from reference_products import ReferenceOperator, reference_triple_deviations
 from reference_walks import reference_apply, reference_apply_on
 
 RELATION_TOL = 1e-12
@@ -156,6 +158,61 @@ def test_triple_relations_take_100_products(monkeypatch):
     verify_triple_relations(enumerate_basis(P_TEST, 6))
     # 10 anticommutators of two products each, then 4 commutators of two products per pair
     assert calls[0] == 100
+
+
+def test_triple_relations_restrict_each_factor_once(monkeypatch):
+    calls = Counter()
+    depth = [0]
+
+    def counting(name, method):
+        def counted(*args):
+            # a combine called inside another (a - b is b scaled by -1, then a sum) counts once
+            calls[name] += name != "combine" or not depth[0]
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    for attr, name in (("__matmul__", "matmul"), ("on_columns", "on_columns"), ("__add__", "combine"),
+                       ("__sub__", "combine"), ("__mul__", "combine"), ("__rmul__", "combine")):
+        monkeypatch.setattr(SparseOperator, attr, counting(name, getattr(SparseOperator, attr)))
+    verify_triple_relations(enumerate_basis(P_TEST, 8))
+    # restricted once each: 4 generators to the interior, the 2 factors of each of the 10
+    # anticommutators to the reach, and the 10 anticommutators to the interior; combined:
+    # 10 anticommutator sums, 40 commutator differences, 20 scaled right-side terms,
+    # 4 two-term right sides summed, and the 16 nonzero right sides subtracted
+    assert dict(calls) == {"matmul": 100, "on_columns": 4 + 20 + 10, "combine": 10 + 40 + 20 + 4 + 16}
+
+
+def test_triple_relations_subtract_each_right_side_as_one_sum(monkeypatch):
+    # Generators whose relations hold keep L - a - b exact: L is about a + b.  Here the
+    # commutator [{b1+, b1+}, b1-] is 2^54 in its vacuum column, against the right side
+    # -2 b1+ - 2 b1+ = -4: 2^54 + 4 is a double, while 2^54 + 2 rounds to 2^54 (ties to even)
+    from parafock import algebra
+
+    basis = enumerate_basis(P_TEST, 3)  # pattern 0 is the vacuum, pattern 1 has degree 1
+    fakes = {
+        "b1+": SparseOperator(basis.size, [1, 1], [0, 1], [1.0, 1.0]),
+        "b1-": SparseOperator(basis.size, [0], [0], [2.0**53]),
+    }
+    monkeypatch.setattr(algebra, "build_generator",
+                        lambda basis, name: fakes.get(name, SparseOperator.zero(basis.size)))
+    report = verify_triple_relations(basis)
+    (dev,) = [r.deviation for r in report.relations if (r.xi, r.eta, r.eps, r.j, r.k, r.l) == (1, 1, -1, 1, 1, 1)]
+    assert dev == 2.0**54 + 4
+
+
+@pytest.mark.parametrize("p", [1.3, 2.5, 4.7, 120.0])
+def test_triple_relations_match_the_former_loop_bit_for_bit(p):
+    for cutoff in range(3, 25):
+        basis = enumerate_basis(p, cutoff)
+        expected = reference_triple_deviations(basis)
+        for r in verify_triple_relations(basis).relations:
+            want = expected[(r.j, r.xi), (r.k, r.eta), (r.l, r.eps)]
+            assert r.deviation.hex() == want.hex(), (p, cutoff, r)
 
 
 @settings(max_examples=80, deadline=None)
@@ -334,8 +391,8 @@ _PARTS = (0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 2.5, -2.5, 1e-17)
 
 
 @st.composite
-def _triplets(draw, dim):
-    part = st.sampled_from(_PARTS)
+def _triplets(draw, dim, parts=_PARTS):
+    part = st.sampled_from(parts)
     value = st.builds(complex, part, part) if draw(st.booleans()) else part
     index = st.integers(0, dim - 1)
     return draw(st.lists(st.tuples(index, index, value), max_size=14))
@@ -377,6 +434,54 @@ def test_sums_and_products_match_the_unique_grouping_bit_for_bit(pair):
         for array, expected in zip((got.rows, got.cols, got.vals), want):
             assert array.dtype == expected.dtype
             assert array.tobytes() == expected.tobytes()
+
+
+# scaling by +-0 stores entries of either sign of zero, which products and sums then add
+_SCALARS = (1.0, -1.0, 0.0, -0.0, 2.5, 1j, complex(-0.0, 1.0))
+
+
+@st.composite
+def _operator_triples(draw):
+    """Three operators of one dimension, some of them scaled: generators or drawn triplets."""
+    if draw(st.booleans()):
+        basis = enumerate_basis(draw(st.sampled_from((1.3, P_TEST, 119.5))), draw(st.integers(0, 8)))
+        ops = [build_generator(basis, draw(st.sampled_from(GENERATOR_NAMES))) for _ in range(3)]
+    else:
+        dim = draw(st.integers(1, 4))
+        ops = [SparseOperator.from_entries(dim, draw(_triplets(dim, _PARTS + (-0.0,)))) for _ in range(3)]
+    return [draw(st.sampled_from(_SCALARS)) * op if draw(st.booleans()) else op for op in ops]
+
+
+def _assert_same_entries(got, want):
+    for array, expected in zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals)):
+        _assert_same_bytes(array, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_operator_triples())
+def test_products_and_sums_match_the_former_kernel_bit_for_bit(ops):
+    # each operator is the left factor of three products, after and before other operators
+    refs = [ReferenceOperator.of(op) for op in ops]
+    for (x, rx), (y, ry) in itertools.product(zip(ops, refs), repeat=2):
+        _assert_same_entries(x @ y, rx @ ry)
+        _assert_same_entries(x + y, rx + ry)
+        _assert_same_entries(x - y, rx - ry)
+    for x, rx in zip(ops, refs):
+        _assert_same_entries(x.adjoint(), rx.adjoint())
+    triplets = [entry for op in ops for entry in op.entries]
+    dim = ops[0].dim
+    _assert_same_entries(SparseOperator.from_entries(dim, triplets), ReferenceOperator.from_entries(dim, triplets))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(5, 0, 1.0), (2, 1, 1.0)], [(-1, 0, 1.0)], [(0, 3, 1.0)], [(0, -1, 1.0)], [(1, 1, 1.0), (3, 0, 1.0)]],
+    ids=["row-aliases-an-entry", "negative-row", "col-at-dim", "negative-col", "row-at-dim"],
+)
+def test_from_entries_rejects_positions_outside_the_matrix(entries):
+    # keys col * dim + row would alias distinct entries or drop them from to_dense
+    with pytest.raises(ValueError, match="outside the 3 x 3 matrix"):
+        SparseOperator.from_entries(3, entries)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ comparison grid stays inside the validated operating window x <= 50,
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -391,3 +394,17 @@ def test_k_panels_match_the_former_tiled_form_bit_for_bit(n_panels):
     got_t, got_w = specfun._gauss_panels(boundaries, specfun._GL24_NODES, specfun._GL24_WEIGHTS)
     assert got_t.tobytes() == t.tobytes()
     assert got_w.tobytes() == w.tobytes()
+
+
+def test_mpmath_loads_on_the_first_bessel_k():
+    # a fresh interpreter, so no earlier import in this process decides the answer
+    code = (
+        "import sys, parafock, parafock.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "parafock.bessel_k(0.3, 5.0)\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
