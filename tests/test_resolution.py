@@ -177,9 +177,9 @@ def test_run_all_integrates_each_k_bucket_once_per_pass(monkeypatch):
     calls = []
     k_bucket = specfun._k_bucket
 
-    def counting(anu, xb):
+    def counting(anu, xb, *rest):
         calls.append(anu)
-        return k_bucket(anu, xb)
+        return k_bucket(anu, xb, *rest)
 
     monkeypatch.setattr(specfun, "_k_bucket", counting)
     verify.run_all()
@@ -189,6 +189,26 @@ def test_run_all_integrates_each_k_bucket_once_per_pass(monkeypatch):
     assert first == 997
     verify.run_all()
     assert len(calls) == 2 * first
+
+
+def test_run_all_builds_the_k_node_table_a_few_times_not_once_per_bucket(monkeypatch):
+    from parafock import specfun, verify
+
+    builds = []
+    gauss_panels = specfun._gauss_panels
+
+    def counting(boundaries, nodes, weights):
+        builds.append(len(boundaries) - 1)
+        return gauss_panels(boundaries, nodes, weights)
+
+    monkeypatch.setattr(specfun, "_K_NODES", None)
+    monkeypatch.setattr(specfun, "_gauss_panels", counting)
+    verify.run_all()
+    # the table grows to 14, 15, 77 and 78 panels, each build exactly the size asked for
+    assert builds == [14, 15, 77, 78]
+    assert specfun._K_NODES[0].size == 24 * 78
+    verify.run_all()
+    assert len(builds) == 4
 
 
 def test_validation_errors():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_panels import reference_grid_rule, reference_k_rule
+from reference_quadrature import reference_besseli_values, reference_besselk_values
 
 from parafock import (
     bessel_i,
@@ -368,6 +369,13 @@ def test_scaled_integer_series_at_the_envelope_edges(nu, x):
     _assert_same_bits(nu, x)
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-3, 0.1, 1.0, 5.0, 20.0, 50.0])
+def test_integer_order_finite_sum_keeps_its_bits_at_every_order(x):
+    # the finite sum runs on scaled integers; the reference sums it with mpmath factorials and powers
+    for order in range(61):
+        _assert_same_bits(float(order), x)
+
+
 @st.composite
 def _radial_boundaries(draw):
     """Boundaries shaped like ``radial_grid``'s: 0, graded panels down to 2^-depth, then unit panels."""
@@ -403,6 +411,95 @@ def test_mpmath_loads_on_the_first_bessel_k():
         "assert 'mpmath' not in sys.modules\n"
         "parafock.bessel_k(0.3, 5.0)\n"
         "assert 'mpmath' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _outcome(fn, *args):
+    """Bytes of the result, or the exception's type and message."""
+    try:
+        return fn(*args).tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _log_uniform_grid(draw, lo, hi):
+    """2-40 points log-uniform over [10^a, 10^(a + span)] inside [10^lo, 10^hi], both ends included."""
+    a = draw(st.floats(lo, hi - 0.5))
+    span = draw(st.floats(0.5, min(8.0, hi - a)))  # up to 13 magnitude buckets
+    exps = [0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=38))
+    return np.array([10.0 ** (a + span * e) for e in exps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu=st.floats(-60.0, 60.0), xs=_log_uniform_grid(-20.0, math.log10(700.0)))
+def test_besselk_values_match_the_former_bucket_integral_bit_for_bit(nu, xs):
+    assert _outcome(besselk_values, nu, xs) == _outcome(reference_besselk_values, nu, xs)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 3.7, 12.0, 59.9, 150.0])
+def test_besselk_values_at_the_edges_match_the_former_bucket_integral(nu):
+    # from x = 1e-300 the cutoff or e^x K leaves the double range at most orders
+    for xs in (np.logspace(-300, math.log10(700.0), 60), np.array([5e-324]), np.logspace(-3, 2.8, 50)):
+        assert _outcome(besselk_values, nu, xs) == _outcome(reference_besselk_values, nu, xs)
+
+
+_I_ORDERS = st.one_of(
+    st.floats(-1.0, 60.0, exclude_min=True),
+    st.floats(60.0, 1000.0),
+    st.floats(1000.0, 1e306),  # the leading term underflows at every point
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu=_I_ORDERS, xs=st.one_of(_log_uniform_grid(-323.0, math.log10(700.0)), _log_uniform_grid(-3.0, math.log10(700.0))))
+def test_besseli_values_match_the_series_stopped_after_every_term_bit_for_bit(nu, xs):
+    with np.errstate(all="ignore"):
+        assert _outcome(besseli_values, nu, xs) == _outcome(reference_besseli_values, nu, xs)
+
+
+def test_besseli_values_at_the_edges_match_the_series_stopped_after_every_term():
+    grids = (np.array([5e-324, 1e-320, 1e-310, 1.0]), np.logspace(-300, math.log10(700.0), 80), np.linspace(1.0, 700.0, 97))
+    with np.errstate(all="ignore"):
+        for nu in (-0.99, -0.5, 0.0, 0.3, 1.0, 3.7, 12.0, 60.0, 150.0, 400.0, 3e305):
+            for xs in grids:
+                assert _outcome(besseli_values, nu, xs) == _outcome(reference_besseli_values, nu, xs), nu
+
+
+def test_k_node_table_history_changes_no_value():
+    # a fresh interpreter, so the table starts empty; every warning is an error
+    code = (
+        "import warnings\n"
+        "warnings.simplefilter('error')\n"
+        "import numpy as np\n"
+        "from parafock import specfun\n"
+        "assert specfun._K_NODES is None\n"
+        "xb = np.array([4.5, 7.0, 12.0])\n"
+        "def bucket():\n"
+        "    values, lc = specfun._k_bucket(1.5, xb, None)\n"
+        "    return values.tobytes()\n"
+        "def check_table(n_nodes):\n"
+        "    assert [a.size for a in specfun._K_NODES] == [n_nodes] * 3\n"
+        "    assert all(np.isfinite(a).all() and not a.flags.writeable for a in specfun._K_NODES)\n"
+        "fresh = bucket()\n"
+        "check_table(24 * round(specfun._panel_cutoff(1.5, 4.5) / 0.5))\n"
+        "specfun.bessel_k_oracle(0.5, 1e-12)\n"
+        "grown = 24 * round(specfun._panel_cutoff(0.5, 2e-12) / 0.5)\n"
+        "check_table(grown)\n"
+        "assert bucket() == fresh\n"
+        "for nu, x in ((1.0, 5e-324), (160.0, 1.0)):\n"
+        "    try:\n"
+        "        specfun.besselk_values(nu, np.array([x]))\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError((nu, x))\n"
+        "    assert bucket() == fresh\n"
+        "check_table(grown)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
