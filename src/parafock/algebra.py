@@ -106,10 +106,6 @@ class SparseOperator:
         return cls(dim, rows[first], cols[first], sums[keep])
 
     @classmethod
-    def zero(cls, dim: int) -> "SparseOperator":
-        return cls._accumulate(dim, (), (), ())
-
-    @classmethod
     def from_entries(cls, dim: int, entries) -> "SparseOperator":
         """Operator from (row, col, value) triplets in any order; repeated positions add up."""
         triplets = list(entries)
@@ -231,10 +227,6 @@ class SparseOperator:
         out = np.zeros((len(rows), len(cols)), dtype=np.complex128)
         out[r[inside], c[inside]] = self.vals[inside]
         return out
-
-    def to_dense(self) -> np.ndarray:
-        everything = np.arange(self.dim)
-        return self.block(everything, everything)
 
     def on_columns(self, columns) -> "SparseOperator":
         """The entries in the given columns only; the order of the kept entries is unchanged."""
@@ -393,7 +385,7 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])
         for (j, xi), (k, eta), (l, eps) in product(gens.keys(), repeat=3)
     ]
-    worst = max([0.0] + [r.deviation for r in results])
+    worst = float(np.max([r.deviation for r in results]))  # a NaN deviation propagates
     return TripleReport(
         relations=tuple(results),
         max_deviation=worst,
@@ -410,26 +402,25 @@ def adjointness_deviation(basis: FockBasis) -> float:
     clipped raising entries pair with lowering entries from patterns outside
     the basis, so no retained matrix element is affected.
     """
-    worst = 0.0
+    devs = []
     for mode in (1, 2):
         plus = build_generator(basis, f"b{mode}+")
         minus = build_generator(basis, f"b{mode}-")
-        worst = max(worst, (plus.adjoint() - minus).max_abs())
-    return worst
+        devs.append((plus.adjoint() - minus).max_abs())
+    return float(np.max(devs))  # a NaN deviation propagates
 
 
 def pair_anticommutator_deviation(basis: FockBasis) -> float:
     """Largest interior entry of {b_j^-, b_j^+} - 2 h_j over both modes."""
     interior = basis.interior_indices(2)
-    worst = 0.0
+    devs = []
     for mode in (1, 2):
         plus = build_generator(basis, f"b{mode}+")
         minus = build_generator(basis, f"b{mode}-")
         h = build_generator(basis, f"h{mode}")
         anti = bracket(minus, plus, "anticommutator", columns=interior)
-        dev = (anti - 2.0 * h).max_abs(columns=interior)
-        worst = max(worst, dev)
-    return worst
+        devs.append((anti - 2.0 * h).max_abs(columns=interior))
+    return float(np.max(devs))  # a NaN deviation propagates
 
 
 def t1_inverse_apply(vec: FockVector, zeta1: float) -> FockVector:

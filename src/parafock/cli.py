@@ -372,24 +372,13 @@ def _cmd_resolution(args: argparse.Namespace) -> Table:
 def _cmd_verify_all(args: argparse.Namespace) -> Table:
     p_grid = (args.p,) if args.p is not None else P_GRID
     cutoff = args.cutoff if args.cutoff is not None else 8
-    rows = []
-    all_passed = True
-    total = 0.0
-    for result in run_all(p_grid, cutoff):
-        all_passed = all_passed and result.passed
-        total += result.runtime_seconds
-        rows.append([
-            result.name,
-            result.passed,
-            result.max_deviation,
-            result.tolerance,
-            result.runtime_seconds,
-            result.detail,
-        ])
+    results = run_all(p_grid, cutoff)
+    all_passed = all(r.passed for r in results)
+    columns = ["name", "passed", "max_deviation", "tolerance", "runtime_seconds", "detail"]
     return Table(
-        columns=["name", "passed", "max_deviation", "tolerance", "runtime_seconds", "detail"],
-        rows=rows,
-        summary={"all_passed": all_passed, "total_runtime_seconds": total},
+        columns=columns,
+        rows=[[getattr(r, column) for column in columns] for r in results],
+        summary={"all_passed": all_passed, "total_runtime_seconds": sum(r.runtime_seconds for r in results)},
         passed=all_passed,
     )
 

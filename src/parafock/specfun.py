@@ -26,6 +26,7 @@ representation has no such restriction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ _HYP_X_MAX = 650.0
 _NU_MAX = 60.0
 _INTEGER_ORDER_MARGIN = 1e-6
 _LOG_HALF_TINIEST = math.log(5e-324) - math.log(2.0)  # log(x / 2) at x = 5e-324, whose half rounds to 0
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 _GL24_NODES, _GL24_WEIGHTS = leggauss(24)
 
@@ -77,11 +79,17 @@ def hyp0f1(a: float, x: float | complex) -> SeriesResult:
 
 
 def _log_i_lead(nu: float, log_half):
-    """log (x/2)^nu / Gamma(nu + 1); -inf past nu ~ 2.56e305, where lgamma overflows (the term underflows)."""
+    """log (x/2)^nu / Gamma(nu + 1); -inf past nu ~ 2.56e305, where lgamma overflows (the term underflows).
+
+    Raises ValueError where the term is past the double range (nu near -1 at a subnormal x).
+    """
     try:
-        return nu * log_half - math.lgamma(nu + 1.0)
+        lead = nu * log_half - math.lgamma(nu + 1.0)
     except OverflowError:
         return np.full_like(log_half, -math.inf, dtype=float)
+    if np.any(lead > _LOG_DBL_MAX):
+        raise ValueError(f"the leading I_{nu} term (x/2)^nu / Gamma(nu + 1) is outside the double range")
+    return lead
 
 
 def bessel_i(nu: float, x: float) -> SeriesResult:
@@ -294,7 +302,10 @@ def _k_nodes(n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = _K_NODES
     if table is None or table[0].size < 24 * n_panels:
         t, w = _gauss_panels(0.5 * np.arange(n_panels + 1), _GL24_NODES, _GL24_WEIGHTS)
-        table = (t, w, np.cosh(t) - 1.0)
+        # the last panel can reach past cosh's overflow at t = 710.48: those nodes hold inf
+        # and give exp(-inf) = 0, so no value depends on them
+        with np.errstate(over="ignore"):
+            table = (t, w, np.cosh(t) - 1.0)
         for a in table:
             a.setflags(write=False)
         _K_NODES = table

@@ -5,6 +5,11 @@ and tolerance baked in and returns a CheckResult; run_all executes the ten
 suites in order.  When a suite mixes tolerances, deviations are normalized
 by their own tolerance first and the reported tolerance is 1, so "deviation
 below tolerance" reads the same way for every row.
+
+Every suite folds its deviations through one ``_Gate``, which keeps the
+worst value of each named part: ``CheckResult.parts`` lists them in the
+suite's units, and ``max_deviation`` is the largest.  A NaN deviation counts
+as inf, so it fails its suite instead of vanishing in a ``max``.
 """
 
 from __future__ import annotations
@@ -57,13 +62,30 @@ class CheckResult:
     tolerance: float
     detail: str
     runtime_seconds: float
+    parts: tuple[tuple[str, float], ...]  # (part, worst deviation), in the order first added
 
 
-def _finish(name: str, dev: float, tol: float, detail: str, t0: float) -> CheckResult:
-    return CheckResult(
-        name=name, passed=bool(dev <= tol), max_deviation=float(dev), tolerance=float(tol),
-        detail=detail, runtime_seconds=time.perf_counter() - t0,
-    )
+class _Gate:
+    """One suite's running worst deviation per part, from its creation to ``finish``."""
+
+    def __init__(self, name: str, tolerance: float):
+        self.name, self.tolerance = name, tolerance
+        self.parts: dict[str, float] = {}
+        self.t0 = time.perf_counter()
+
+    def add(self, part: str, deviation: float) -> None:
+        if math.isnan(deviation):
+            deviation = math.inf
+        self.parts[part] = max(self.parts.get(part, 0.0), deviation)
+
+    def finish(self, detail: str) -> CheckResult:
+        parts = tuple((part, float(dev)) for part, dev in self.parts.items())
+        deviation = max((dev for _, dev in parts), default=0.0)
+        return CheckResult(
+            name=self.name, passed=deviation <= self.tolerance, max_deviation=deviation,
+            tolerance=float(self.tolerance), detail=detail,
+            runtime_seconds=time.perf_counter() - self.t0, parts=parts,
+        )
 
 
 def _bases(p_grid=P_GRID, cutoff: int = 8) -> tuple[FockBasis, ...]:
@@ -72,13 +94,11 @@ def _bases(p_grid=P_GRID, cutoff: int = 8) -> tuple[FockBasis, ...]:
 
 def check_triple_relations(bases=None) -> CheckResult:
     """All 64 triple relations on the interior of each basis (default: P_GRID at cutoff 8)."""
-    t0 = time.perf_counter()
+    gate = _Gate("triple_relations", 1e-12)
     bases = _bases() if bases is None else bases
-    worst = 0.0
     for basis in bases:
-        worst = max(worst, verify_triple_relations(basis).max_deviation)
-    detail = f"64 relations, p in {tuple(b.p for b in bases)}, cutoff {bases[0].cutoff}"
-    return _finish("triple_relations", worst, 1e-12, detail, t0)
+        gate.add("relations", verify_triple_relations(basis).max_deviation)
+    return gate.finish(f"64 relations, p in {tuple(b.p for b in bases)}, cutoff {bases[0].cutoff}")
 
 
 def check_adjointness(bases=None) -> CheckResult:
@@ -86,38 +106,32 @@ def check_adjointness(bases=None) -> CheckResult:
 
     ``bases`` defaults to P_GRID at cutoff 8.
     """
-    t0 = time.perf_counter()
+    gate = _Gate("adjointness", 1e-12)
     bases = _bases() if bases is None else bases
-    worst_adj = 0.0
-    worst_pair = 0.0
     for basis in bases:
-        worst_adj = max(worst_adj, adjointness_deviation(basis))
-        worst_pair = max(worst_pair, pair_anticommutator_deviation(basis))
-    detail = f"adjoint dev {worst_adj:.3e}, pair anticommutator dev {worst_pair:.3e}"
-    return _finish("adjointness", max(worst_adj, worst_pair), 1e-12, detail, t0)
+        gate.add("adjoint", adjointness_deviation(basis))
+        gate.add("pair_anticommutator", pair_anticommutator_deviation(basis))
+    detail = "adjoint dev {adjoint:.3e}, pair anticommutator dev {pair_anticommutator:.3e}"
+    return gate.finish(detail.format(**gate.parts))
 
 
 def check_zero_modes(p_grid=P_GRID) -> CheckResult:
     """Normalization and annihilation of every zero mode with j <= k <= 10, plus kernel dimensions."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    dims_ok = True
+    gate = _Gate("zero_modes", 1e-12)
     for p in p_grid:
         basis = enumerate_basis(p, 20)
         for k in range(11):  # by sector, so each sector's b1- serves its zero modes in a row
             for j in range(k + 1):
                 coeffs = zero_mode_coeffs(j, k, p)
-                worst = max(worst, abs(float(np.dot(coeffs, coeffs)) - 1.0))
+                gate.add("normalization", abs(float(np.dot(coeffs, coeffs)) - 1.0))
                 vec = zero_mode_vector(basis, j, k)
-                worst = max(worst, algebra._h2_sector(basis, "b1-", k)[1].apply(vec).norm())
+                gate.add("annihilation", algebra._h2_sector(basis, "b1-", k)[1].apply(vec).norm())
         for j in range(11):
             for k in range(11):
                 dim, _ = kernel_oracle(basis, j, k)
-                if dim != (1 if j <= k else 0):
-                    dims_ok = False
-    dev = worst if dims_ok else math.inf
-    detail = f"0 <= j,k <= 10, kernel dims {'correct' if dims_ok else 'WRONG'}"
-    return _finish("zero_modes", dev, 1e-12, detail, t0)
+                gate.add("dims_ok", 0.0 if dim == (1 if j <= k else 0) else math.inf)
+    dims_ok = gate.parts["dims_ok"] == 0.0
+    return gate.finish(f"0 <= j,k <= 10, kernel dims {'correct' if dims_ok else 'WRONG'}")
 
 
 def _norm_states():
@@ -133,36 +147,30 @@ def _norm_states():
 
 def check_coherent_norms(states=None) -> CheckResult:
     """Bessel, hypergeometric, and coefficient-sum norm routes agree pairwise."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
-    for s in _norm_states() if states is None else states:
-        routes = (
+    gate = _Gate("coherent_norms", 1e-10)
+    states = _norm_states() if states is None else states
+    for s in states:
+        bessel, hyp0f1, coefficients = (
             coherent_norm(s.p, s.j, s.alpha),
             coherent_norm_series(s.p, s.j, s.alpha),
             s.norm_squared(),
         )
-        scale = max(routes)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                worst = max(worst, abs(routes[a] - routes[b]) / scale)
-        count += 1
-    detail = f"{count} states, |alpha| in (0.3, 1, 2, 4), j <= 4"
-    return _finish("coherent_norms", worst, 1e-10, detail, t0)
+        scale = max(bessel, hyp0f1, coefficients)
+        gate.add("bessel_vs_hyp0f1", abs(bessel - hyp0f1) / scale)
+        gate.add("bessel_vs_coefficients", abs(bessel - coefficients) / scale)
+        gate.add("hyp0f1_vs_coefficients", abs(hyp0f1 - coefficients) / scale)
+    return gate.finish(f"{len(states)} states, |alpha| in (0.3, 1, 2, 4), j <= 4")
 
 
 def check_eigen_residuals(states=None) -> CheckResult:
     """The b1- eigen-residual equals |alpha| |a_top| up to scaled representation rounding."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
-    for s in _norm_states() if states is None else states:
+    gate = _Gate("eigen_residuals", 1e-14)
+    states = _norm_states() if states is None else states
+    for s in states:
         residual, top = eigen_residual(s)
         scale = max(1.0, abs(s.alpha) * math.sqrt(s.norm_squared()))
-        worst = max(worst, abs(residual - top) / scale)
-        count += 1
-    detail = f"{count} states, deviation scaled by max(1, |alpha| * state norm)"
-    return _finish("eigen_residuals", worst, 1e-14, detail, t0)
+        gate.add("b1_residual", abs(residual - top) / scale)
+    return gate.finish(f"{len(states)} states, deviation scaled by max(1, |alpha| * state norm)")
 
 
 def check_b2_elements() -> CheckResult:
@@ -173,21 +181,22 @@ def check_b2_elements() -> CheckResult:
     identically for j >= 1 while j = 0 stays nonzero because its leading
     ratio is 1 rather than 0/0.
     """
-    t0 = time.perf_counter()
+    gate = _Gate("b2_elements", 1e-8)
     alphas = (complex(0.3), 0.7j, 1.0 + 0.5j)
     nmax = 20
     cutoff = 26
-    worst = 0.0
     count = 0
+    families = {-1: "jp_below", 0: "jp_same", 1: "jp_above", 2: "forced_zero"}
 
     def sweep(basis, j, k, jp_list):
-        nonlocal worst, count
+        nonlocal count
         for jp in jp_list:
+            part = "p2_degenerate" if basis.p == 2.0 else families[jp - j]
             for alpha in alphas:
                 for alpha_prime in alphas:
                     closed = b2_element(basis.p, jp, alpha_prime, j, k, alpha)
                     oracle = b2_element_oracle(basis, jp, alpha_prime, j, k, alpha, nmax)
-                    worst = max(worst, abs(closed - oracle))
+                    gate.add(part, abs(closed - oracle))
                     count += 1
 
     for p in (2.5, 3.0):
@@ -202,8 +211,7 @@ def check_b2_elements() -> CheckResult:
         for k in range(j + 1, 5):
             sweep(basis, j, k, [j])
 
-    detail = f"{count} elements, p in (2, 2.5, 3), j <= 2, k <= 4, incl. forced zeros"
-    return _finish("b2_elements", worst, 1e-8, detail, t0)
+    return gate.finish(f"{count} elements, p in (2, 2.5, 3), j <= 2, k <= 4, incl. forced zeros")
 
 
 def check_bicoherent() -> CheckResult:
@@ -215,9 +223,7 @@ def check_bicoherent() -> CheckResult:
     the kmax = 12 joint eigenstates, including one matrix-engine assembly
     whose generators are built on the state's support only.
     """
-    t0 = time.perf_counter()
-    worst = 0.0
-
+    gate = _Gate("bicoherent", 1.0)
     scalar_cut = 10
     for p in P_GRID:
         basis = enumerate_basis(p, scalar_cut)
@@ -229,14 +235,14 @@ def check_bicoherent() -> CheckResult:
                 up = b2p.apply(b2p.apply(zeta))
                 target_up = zero_mode_vector(basis, j, k + 2)
                 dev_up = (up - b2sq_shift(j, k, p, "raise") * target_up).norm()
-                worst = max(worst, dev_up / 1e-12)
+                gate.add("shift_raise", dev_up / 1e-12)
                 down = b2m.apply(b2m.apply(zeta))
                 if k - j >= 2:
                     target_down = zero_mode_vector(basis, j, k - 2)
                     dev_down = (down - b2sq_shift(j, k, p, "lower") * target_down).norm()
                 else:
                     dev_down = down.norm()
-                worst = max(worst, dev_down / 1e-12)
+                gate.add("shift_lower", dev_down / 1e-12)
 
     kmax = 12
     for p in P_GRID:
@@ -253,7 +259,7 @@ def check_bicoherent() -> CheckResult:
                             resid_sq += abs(d[kk] * step - beta * d[kk - 1]) ** 2
                         computed = math.sqrt(resid_sq) / d_norm
                         bound = state.eigen_residual_b2sq
-                        worst = max(worst, computed / (bound * (1.0 + 1e-6) + 1e-15))
+                        gate.add("b2sq_states", computed / (bound * (1.0 + 1e-6) + 1e-15))
 
     p, j, l = 2.5, 0, 1
     alpha, beta = complex(1.2), complex(1.4)
@@ -279,11 +285,9 @@ def check_bicoherent() -> CheckResult:
 
     r_b1 = (lower("b1-", psi) - alpha * psi).norm() / psi_norm
     r_b2 = (lower("b2-", lower("b2-", psi)) - beta * psi).norm() / psi_norm
-    worst = max(worst, r_b1 / (r_b1_stated * (1.0 + 1e-6) + 1e-12))
-    worst = max(worst, r_b2 / (r_b2_stated * (1.0 + 1e-6) + 1e-12))
-
-    detail = "shift scalars at 1e-12; residual bounds at kmax 12 incl. matrix assembly"
-    return _finish("bicoherent", worst, 1.0, detail, t0)
+    gate.add("b1_assembly", r_b1 / (r_b1_stated * (1.0 + 1e-6) + 1e-12))
+    gate.add("b2sq_assembly", r_b2 / (r_b2_stated * (1.0 + 1e-6) + 1e-12))
+    return gate.finish("shift scalars at 1e-12; residual bounds at kmax 12 incl. matrix assembly")
 
 
 def check_bessel_forms() -> CheckResult:
@@ -296,8 +300,7 @@ def check_bessel_forms() -> CheckResult:
     their elementary closed forms at 1e-12.  Deviations are reported in
     units of their own tolerance.
     """
-    t0 = time.perf_counter()
-    worst = 0.0
+    gate = _Gate("bessel_forms", 1.0)
     xs = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
     orders = set()
@@ -313,7 +316,7 @@ def check_bessel_forms() -> CheckResult:
     values = {(nu, x): bessel_k(nu, x).value for nu in sorted(orders) for x in xs}
     for (nu, x), val in values.items():
         oracle = bessel_k_oracle(nu, x / 2.0)
-        worst = max(worst, abs(val - oracle) / abs(oracle) / 1e-8)
+        gate.add("oracle", abs(val - oracle) / abs(oracle) / 1e-8)
 
     for base in (1.0, 2.0):
         for eps in (5e-6, 1e-5):
@@ -321,36 +324,31 @@ def check_bessel_forms() -> CheckResult:
                 center = values[base, x]
                 for side in (base - eps, base + eps):
                     jump = abs(values[side, x] - center) / center
-                    worst = max(worst, jump / 1e-4)
+                    gate.add("seam", jump / 1e-4)
 
     for x in (0.3, 1.0, 2.7, 10.0):
         i_half = bessel_i(0.5, x).value
         i_exact = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-        worst = max(worst, abs(i_half - i_exact) / i_exact / 1e-12)
+        gate.add("i_elementary", abs(i_half - i_exact) / i_exact / 1e-12)
         k_half = bessel_k(0.5, x).value
         k_exact = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-        worst = max(worst, abs(k_half - k_exact) / k_exact / 1e-12)
-
-    detail = "forms vs oracle at 1e-8, seam continuity at 1e-4, elementary at 1e-12"
-    return _finish("bessel_forms", worst, 1.0, detail, t0)
+        gate.add("k_elementary", abs(k_half - k_exact) / k_exact / 1e-12)
+    return gate.finish("forms vs oracle at 1e-8, seam continuity at 1e-4, elementary at 1e-12")
 
 
 def check_stieltjes_moments(store=None) -> CheckResult:
     """Quadrature moments of F_I and F_II against the gamma-product closed forms."""
-    t0 = time.perf_counter()
+    gate = _Gate("stieltjes_moments", 1e-8)
     store = {} if store is None else store
-    worst = 0.0
     count = 0
     for p in P_GRID:
         for j in range(4):
             grid = radial_grid(p, j, 5, store=store)
             for kind in ("I", "II"):
                 for n in range(6):
-                    report = stieltjes_moment_check(kind, p, j, n, grid=grid)
-                    worst = max(worst, report.rel_err)
+                    gate.add(f"F_{kind}", stieltjes_moment_check(kind, p, j, n, grid=grid).rel_err)
                     count += 1
-    detail = f"{count} moments, n <= 5, j <= 3, p in {P_GRID}"
-    return _finish("stieltjes_moments", worst, 1e-8, detail, t0)
+    return gate.finish(f"{count} moments, n <= 5, j <= 3, p in {P_GRID}")
 
 
 def check_resolution_identity(store=None) -> CheckResult:
@@ -361,24 +359,19 @@ def check_resolution_identity(store=None) -> CheckResult:
     node; all three are reported in units of their own tolerance.  The modes'
     I factors cancel at every node, so their gap is rounding, not a live check.
     """
-    t0 = time.perf_counter()
+    gate = _Gate("resolution_identity", 1.0)
     store = {} if store is None else store
-    worst = 0.0
-    positive = True
     for p in (1.3, 2.0, 2.5):
         for j in (0, 1, 2):
             grid = radial_grid(p, j, 10, store=store)
             rep_off = resolution_identity_check(p, j, 10, mode="offdiag", grid=grid)
             rep_cat = resolution_identity_check(p, j, 10, mode="cat", grid=grid)
-            worst = max(worst, rep_off.max_abs_deviation / 1e-6)
-            worst = max(worst, rep_cat.max_abs_deviation / 1e-6)
-            mode_gap = float(np.abs(rep_off.entries - rep_cat.entries).max())
-            worst = max(worst, mode_gap / 1e-10)
-            positive = positive and rep_off.measure_min > 0 and rep_cat.measure_min > 0
-    if not positive:
-        worst = math.inf
-    detail = "m,n <= 10, p in (1.3, 2, 2.5), j <= 2; identity 1e-6, modes 1e-10, measures positive"
-    return _finish("resolution_identity", worst, 1.0, detail, t0)
+            gate.add("offdiag", rep_off.max_abs_deviation / 1e-6)
+            gate.add("cat", rep_cat.max_abs_deviation / 1e-6)
+            gate.add("mode_gap", float(np.abs(rep_off.entries - rep_cat.entries).max()) / 1e-10)
+            positive = rep_off.measure_min > 0 and rep_cat.measure_min > 0
+            gate.add("positive", 0.0 if positive else math.inf)
+    return gate.finish("m,n <= 10, p in (1.3, 2, 2.5), j <= 2; identity 1e-6, modes 1e-10, measures positive")
 
 
 ALL_CHECKS = (

@@ -4,14 +4,22 @@ Each criterion runs the corresponding pinned verification suite with its
 default grid and tolerance; the assertions also pin the tolerance values so
 a silent loosening upstream fails here.  Criteria 7, 8, and 10 mix
 tolerances internally, so their suites report deviations in units of each
-sub-check's own tolerance and pass at 1.0.
+sub-check's own tolerance and pass at 1.0.  The tests after the criteria pin
+every suite's deviation and parts in float hex and check that a NaN
+deviation fails its suite.
 """
 
+import math
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
-from parafock import verify
+import numpy as np
+import pytest
+
+from parafock import algebra, verify
+from parafock.coherent import build_coherent
 
 
 def _report(number, result):
@@ -98,3 +106,79 @@ def test_criterion_11_verify_all():
     assert proc.returncode == 0
     assert wall < 180.0
     assert "# all_passed=true" in proc.stdout.splitlines()
+
+
+# Each suite's max_deviation and tolerance as float hex, and its parts in the order first added.
+RUN_ALL = {
+    "triple_relations": ("0x1.8000000000000p-46", "0x1.19799812dea11p-40", ("relations",)),
+    "adjointness": ("0x1.0000000000000p-48", "0x1.19799812dea11p-40",
+                    ("adjoint", "pair_anticommutator")),
+    "zero_modes": ("0x1.5000000000000p-49", "0x1.19799812dea11p-40",
+                   ("normalization", "annihilation", "dims_ok")),
+    "coherent_norms": ("0x1.2bfef9b5ea129p-49", "0x1.b7cdfd9d7bdbbp-34",
+                       ("bessel_vs_hyp0f1", "bessel_vs_coefficients", "hyp0f1_vs_coefficients")),
+    "eigen_residuals": ("0x1.a6d3825abf910p-54", "0x1.6849b86a12b9bp-47", ("b1_residual",)),
+    "b2_elements": ("0x1.1e3779b97f4a8p-50", "0x1.5798ee2308c3ap-27",
+                    ("jp_same", "jp_above", "forced_zero", "jp_below", "p2_degenerate")),
+    "bicoherent": ("0x1.ffffbeb7127b7p-1", "0x1.0000000000000p+0",
+                   ("shift_raise", "shift_lower", "b2sq_states", "b1_assembly", "b2sq_assembly")),
+    "bessel_forms": ("0x1.7c544bbc00f66p-3", "0x1.0000000000000p+0",
+                     ("oracle", "seam", "i_elementary", "k_elementary")),
+    "stieltjes_moments": ("0x1.6c959e4a2c75fp-50", "0x1.5798ee2308c3ap-27", ("F_I", "F_II")),
+    "resolution_identity": ("0x1.bf08eb0000000p-19", "0x1.0000000000000p+0",
+                            ("offdiag", "cat", "mode_gap", "positive")),
+}
+
+
+def test_run_all_deviations_and_parts_are_pinned():
+    results = verify.run_all()
+    assert [r.name for r in results] == list(RUN_ALL)
+    for r in results:
+        deviation, tolerance, parts = RUN_ALL[r.name]
+        assert (r.max_deviation.hex(), r.tolerance.hex()) == (deviation, tolerance), r.name
+        assert tuple(part for part, _ in r.parts) == parts, r.name
+        assert max(value for _, value in r.parts).hex() == deviation, r.name
+
+
+def _nan(*args, **kwargs):
+    return math.nan
+
+
+def _nan_resolution(*args, **kwargs):
+    return SimpleNamespace(max_abs_deviation=math.nan, entries=np.zeros((11, 11)), measure_min=1.0)
+
+
+_STATES = [build_coherent(2.5, 1, 1, complex(1.0)), build_coherent(1.3, 0, 0, 0.9 + 0.4j)]
+_BASES = verify._bases((2.5,), 4)
+
+
+# (suite, where its deviation comes from, what that returns, the call, the part that reads inf)
+_NAN_SOURCES = [
+    ("triple_relations", (algebra.SparseOperator, "max_abs"), _nan,
+     lambda: verify.check_triple_relations(_BASES), "relations"),
+    ("adjointness", (algebra.SparseOperator, "max_abs"), _nan,
+     lambda: verify.check_adjointness(_BASES), "adjoint"),
+    ("zero_modes", (verify, "zero_mode_coeffs"), lambda j, k, p: np.array([math.nan]),
+     lambda: verify.check_zero_modes((2.5,)), "normalization"),
+    ("coherent_norms", (verify, "coherent_norm"), _nan,
+     lambda: verify.check_coherent_norms(_STATES), "bessel_vs_hyp0f1"),
+    ("eigen_residuals", (verify, "eigen_residual"), lambda s: (math.nan, 0.0),
+     lambda: verify.check_eigen_residuals(_STATES), "b1_residual"),
+    ("b2_elements", (verify, "b2_element"), _nan, verify.check_b2_elements, "jp_same"),
+    ("bicoherent", (verify, "b2sq_shift"), _nan, verify.check_bicoherent, "shift_raise"),
+    ("bessel_forms", (verify, "bessel_k_oracle"), _nan, verify.check_bessel_forms, "oracle"),
+    ("stieltjes_moments", (verify, "stieltjes_moment_check"),
+     lambda *args, **kwargs: SimpleNamespace(rel_err=math.nan), verify.check_stieltjes_moments, "F_I"),
+    ("resolution_identity", (verify, "resolution_identity_check"), _nan_resolution,
+     verify.check_resolution_identity, "offdiag"),
+]
+
+
+@pytest.mark.parametrize("name, target, source, check, part", _NAN_SOURCES, ids=[s[0] for s in _NAN_SOURCES])
+def test_a_nan_deviation_fails_its_suite(monkeypatch, name, target, source, check, part):
+    monkeypatch.setattr(*target, source)
+    result = check()
+    assert result.name == name
+    assert result.passed is False
+    assert result.max_deviation == math.inf
+    assert dict(result.parts)[part] == math.inf

@@ -11,7 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from parafock import cli
+from parafock import algebra, cli
 
 CLI = [sys.executable, "-m", "parafock.cli"]
 
@@ -235,6 +235,14 @@ def test_verify_all_with_restricted_grid():
     assert len(data) == 10
 
 
+def test_verify_all_exits_1_on_a_nan_deviation(monkeypatch, capsys):
+    monkeypatch.setattr(algebra.SparseOperator, "max_abs", lambda self, columns=None: math.nan)
+    assert cli.main(["verify-all", "--p", "2.5", "--cutoff", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("triple_relations,false,inf,")
+    assert "# all_passed=false" in lines
+
+
 def test_usage_failures_exit_2():
     for args in (
         ("basis", "--p", "3", "--cutoff", "1", "--bogus"),
@@ -247,11 +255,17 @@ def test_usage_failures_exit_2():
         ("basis", "--p", "2.5", "--cutoff", "100000000"),
         ("coherent", "--p", "1e300", "--j", "0", "--k", "0", "--alpha", "1,0"),
         ("b2-elements", "--p", "1e308", "--j", "0", "--k", "1", "--alpha", "1,0", "--alpha-prime", "1,0"),
+        # the leading I term (x/2)^nu / Gamma(nu + 1) past the double range
+        ("bessel", "--kind", "i", "--nu=-0.99", "--x", "5e-324"),
+        ("bessel", "--kind", "i", "--nu=-0.99", "--x", "1e-320"),
+        ("bessel", "--kind", "i", "--nu=-0.999", "--x", "5e-324"),
+        ("bessel", "--kind", "i", "--nu=-0.999", "--x", "1e-320"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert proc.stdout == ""
         assert "usage" in proc.stderr or proc.stderr.startswith("parafock: error:")
+        assert "Traceback" not in proc.stderr, args
 
 
 def test_repeat_runs_are_byte_identical():

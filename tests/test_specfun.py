@@ -125,6 +125,17 @@ def test_bessel_i_terminates_on_a_subnormal_sum():
     assert abs(result.value - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("nu, x", [(-0.99, 5e-324), (-0.99, 1e-320), (-0.999, 5e-324), (-0.999, 1e-320)])
+def test_i_series_reject_a_leading_term_past_the_double_range(nu, x):
+    # (x/2)^nu / Gamma(nu + 1) is past 1e308 at these points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="double range"):
+            bessel_i(nu, x)
+        with pytest.raises(ValueError, match="double range"):
+            besseli_values(nu, np.array([x, 1.0]))
+
+
 def test_besseli_values_is_zero_at_underflowing_orders():
     start = time.perf_counter()
     assert besseli_values(400.0, np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
@@ -468,6 +479,19 @@ def test_besseli_values_at_the_edges_match_the_series_stopped_after_every_term()
         for nu in (-0.99, -0.5, 0.0, 0.3, 1.0, 3.7, 12.0, 60.0, 150.0, 400.0, 3e305):
             for xs in grids:
                 assert _outcome(besseli_values, nu, xs) == _outcome(reference_besseli_values, nu, xs), nu
+
+
+@pytest.mark.parametrize("nu, x", [(0.005, 5e-307), (0.01, 3e-307), (0.02, 5e-307), (0.04, 5e-307)])
+def test_k_node_table_past_the_cosh_overflow_warns_nothing(monkeypatch, nu, x):
+    # the panel cutoff is 710.5 at these points, past cosh's overflow at t = 710.48
+    xs = np.array([x])
+    with np.errstate(over="ignore"):
+        expected = _outcome(reference_besselk_values, nu, xs)
+    monkeypatch.setattr(specfun, "_K_NODES", None)  # the call below builds the table afresh
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(besselk_values, nu, xs) == expected
+    assert not np.isfinite(specfun._K_NODES[2]).all()
 
 
 def test_k_node_table_history_changes_no_value():
