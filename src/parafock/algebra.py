@@ -8,13 +8,16 @@ labels of a sorted column set, the whole basis or one h2 sector for the
 oracles: a move whose target is outside the basis (``find`` gives -1) is
 skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
-operator arrays are read-only.
+operator arrays are read-only.  The relation checks never build the
+operators they test: they add product terms on label-shift slots
+(``_Slots``), with the bits the ``SparseOperator`` arithmetic would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,19 +185,30 @@ class SparseOperator:
     def adjoint(self) -> "SparseOperator":
         return SparseOperator._accumulate(self.dim, self.cols, self.rows, np.conj(self.vals))
 
+    def _column_starts(self) -> np.ndarray:
+        """Offset of each column's first entry, nnz at the end: computed once per operator."""
+        if self._starts is None:
+            self._starts = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.dim))))
+            self._starts.flags.writeable = False
+        return self._starts
+
+    def _pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The terms of a product with this left factor and right entries in rows ``rows``.
+
+        Each right entry (k, col) pairs with every left entry of column k, in column order: one
+        (left entry index, right entry position in ``rows``) per term, in right entry order.
+        """
+        starts = self._column_starts()
+        first = starts[rows]
+        count = starts[rows + 1] - first
+        right = np.repeat(np.arange(len(rows)), count)
+        left = (first - np.cumsum(count) + count)[right] + np.arange(len(right))
+        return left, right
+
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if self._starts is None:
-            # offset of each column's first entry, nnz at the end: once per left factor
-            self._starts = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.dim))))
-            self._starts.flags.writeable = False
-        starts = self._starts
-        first = starts[other.rows]
-        count = starts[other.rows + 1] - first
-        # pair every right entry (k, col) with each left entry of column k, in column order
-        right = np.repeat(np.arange(other.nnz), count)
-        left = (first - np.cumsum(count) + count)[right] + np.arange(len(right))
+        left, right = self._pairs(other.rows)
         return SparseOperator._accumulate(
             self.dim,
             self.rows[left],
@@ -203,17 +217,21 @@ class SparseOperator:
         )
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        return self._combine(other, other.vals)
+
+    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
+        # each position's sum starts from +0.0, so negating in place of scaling by -1.0 changes no value
+        return self._combine(other, -other.vals)
+
+    def _combine(self, other: "SparseOperator", other_vals) -> "SparseOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return SparseOperator._accumulate(
             self.dim,
             np.concatenate((self.rows, other.rows)),
             np.concatenate((self.cols, other.cols)),
-            np.concatenate((self.vals, other.vals)),
+            np.concatenate((self.vals, other_vals)),
         )
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "SparseOperator":
         return SparseOperator(self.dim, self.rows, self.cols, scalar * self.vals)
@@ -325,6 +343,107 @@ def bracket(a: SparseOperator, b: SparseOperator, kind: str, columns=None) -> Sp
     return ab + ba if kind == "anticommutator" else ab - ba
 
 
+# Columns per block of the relation checks: one block's terms and slot sums stay at a few MB
+# whatever the cutoff, so only the anticommutator being read grows with the basis.
+_BLOCK_COLUMNS = 8192
+
+
+class _Coded(NamedTuple):
+    """An operator with the label-shift code of each entry and sorted codes that include them all."""
+
+    op: SparseOperator
+    codes: np.ndarray
+    present: np.ndarray
+
+
+def _labels(basis: FockBasis) -> np.ndarray:
+    """One integer per pattern, linear in (degree, m12, m11) and increasing in basis order."""
+    radix = basis.cutoff + 1
+    return (basis.degree * radix + basis.m12) * radix + basis.m11
+
+
+def _index_of(basis: FockBasis, labels: np.ndarray) -> np.ndarray:
+    """Basis index of each pattern label, the inverse of ``_labels``."""
+    rest, m11 = np.divmod(labels, basis.cutoff + 1)
+    degree, m12 = np.divmod(rest, basis.cutoff + 1)
+    return basis.find(m12, degree - m12, m11)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted: ``np.unique`` without the ``numpy.ma`` import it makes."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _coded(labels: np.ndarray, op: SparseOperator) -> _Coded:
+    codes = labels[op.rows] - labels[op.cols]
+    return _Coded(op, codes, _distinct(codes))
+
+
+class _Slots:
+    """The positions of columns c0 .. c1 - 1 numbered by label shift, so summing needs no sort.
+
+    An entry (row, col) shifts the labels of col to those of row; its code labels[row] -
+    labels[col] is linear in the shift, so a product term's code is the sum of its factors'
+    codes.  Numbering the codes 0 .. n - 1 in ascending order, which is ascending row order
+    within a column, makes ``(col - c0) * n + number`` one slot per position, in (col, row)
+    order.  ``sums`` adds each slot's terms from 0 in array order, as the stable sort of
+    ``SparseOperator._accumulate`` does.
+    """
+
+    def __init__(self, *codes: np.ndarray):
+        self.codes = _distinct(np.concatenate(codes))
+        self.n = len(self.codes)
+        self.low = self.codes[0] if self.n else 0
+        self.number = np.zeros(self.codes[-1] - self.low + 1 if self.n else 0, dtype=np.intp)
+        self.number[self.codes - self.low] = np.arange(self.n)
+
+    def sums(self, c0: int, c1: int, *terms) -> np.ndarray:
+        """Each slot's sum of the (cols, codes, values) ``terms``, taken in the order given."""
+        cols, codes, vals = terms[0] if len(terms) == 1 else (np.concatenate(x) for x in zip(*terms))
+        return _sum_by((cols - c0) * self.n + self.number[codes - self.low], vals, (c1 - c0) * self.n)
+
+
+def _blocks(count: int) -> list[tuple[int, int]]:
+    """Columns 0 .. count - 1 as (c0, c1) ranges of at most _BLOCK_COLUMNS; one empty range for none."""
+    return [(c0, min(c0 + _BLOCK_COLUMNS, count)) for c0 in range(0, max(count, 1), _BLOCK_COLUMNS)]
+
+
+def _entries(a: _Coded, c0: int, c1: int, scale: float = 1.0):
+    """(cols, codes, values) of the entries in columns c0 .. c1 - 1, values times ``scale``."""
+    lo, hi = a.op._column_starts()[[c0, c1]]
+    return a.op.cols[lo:hi], a.codes[lo:hi], scale * a.op.vals[lo:hi]
+
+
+def _product(a: _Coded, b: _Coded, c0: int, c1: int):
+    """(cols, codes, values) of the terms of a @ b in columns c0 .. c1 - 1, in product order."""
+    lo, hi = b.op._column_starts()[[c0, c1]]
+    left, right = a.op._pairs(b.op.rows[lo:hi])
+    right += lo
+    return b.op.cols[right], a.codes[left] + b.codes[right], a.op.vals[left] * b.op.vals[right]
+
+
+def _anticommutator(basis: FockBasis, labels: np.ndarray, a: _Coded, b: _Coded, count: int) -> _Coded:
+    """{a, b} on columns 0 .. count - 1: per position (0 + a b terms) + (0 + b a terms), zeros dropped."""
+    slots = _Slots(np.add.outer(a.present, b.present).ravel())
+    parts = []
+    for c0, c1 in _blocks(count):
+        total = slots.sums(c0, c1, _product(a, b, c0, c1)) + slots.sums(c0, c1, _product(b, a, c0, c1))
+        keep = np.flatnonzero(total)
+        cols, codes = keep // slots.n + c0, slots.codes[keep % slots.n]
+        # the row is the pattern whose labels are the column's shifted by the code
+        parts.append((_index_of(basis, labels[cols] + codes), cols, total[keep], codes))
+    rows, cols, vals, codes = (np.concatenate(x) for x in zip(*parts))
+    return _Coded(SparseOperator(basis.size, rows, cols, vals), codes, slots.codes)
+
+
+def _worst(worst, sums: np.ndarray):
+    """The running largest magnitude, NaN once any value is NaN."""
+    return np.maximum(worst, np.abs(sums).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class RelationDeviation:
     """Deviation of one triple relation, identified by signs and mode indices."""
@@ -357,30 +476,36 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     (j, xi) and (k, eta) changes only the order of two-term sums, which commute
     exactly, so each of the 10 unordered pairs is evaluated once for both orders.
 
-    Each generator and anticommutator is cut to the interior once.  A right side is
-    built, as one sum, only where it is nonzero: adding an empty operator changes no bit.
+    Each relation's deviation is the largest |X - Y - R| per position, where X sums the
+    terms of {.,.} b_l, Y those of b_l {.,.} and R the right side, each from 0: the bits of
+    (anti @ b_l - b_l @ anti) - rhs in the operator arithmetic, without building it.
     """
+    labels = _labels(basis)
     gens = {
-        (mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
+        (mode, sign): _coded(labels, build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}"))
         for mode in (1, 2)
         for sign in (-1, 1)
     }
-    interior, reach = basis.interior_indices(3), basis.interior_indices(2)
-    inner = {key: gen.on_columns(interior) for key, gen in gens.items()}
+    # the basis is ordered by degree, so each interior is a leading run of columns
+    inner, reach = len(basis.interior_indices(3)), len(basis.interior_indices(2))
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator", columns=reach)
-        anti_inner = anti.on_columns(interior)
+        anti = _anticommutator(basis, labels, gens[(j, xi)], gens[(k, eta)], reach)
         for (l, eps), gen in gens.items():
-            lhs = anti @ inner[(l, eps)] - gen @ anti_inner
-            rhs = None
+            rhs = []
             if l == j and eps != xi:
-                rhs = float(eps - xi) * inner[(k, eta)]
+                rhs.append((gens[(k, eta)], float(eps - xi)))
             if l == k and eps != eta:
-                term = float(eps - eta) * inner[(j, xi)]
-                rhs = term if rhs is None else rhs + term
-            dev = (lhs if rhs is None else lhs - rhs).max_abs()
-            deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = dev
+                rhs.append((gens[(j, xi)], float(eps - eta)))
+            slots = _Slots(np.add.outer(anti.present, gen.present).ravel(), *(g.present for g, _ in rhs))
+            dev = 0.0
+            for c0, c1 in _blocks(inner):
+                sums = slots.sums(c0, c1, _product(anti, gen, c0, c1))
+                sums -= slots.sums(c0, c1, _product(gen, anti, c0, c1))
+                if rhs:
+                    sums -= slots.sums(c0, c1, *(_entries(g, c0, c1, scale) for g, scale in rhs))
+                dev = _worst(dev, sums)
+            deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = float(dev)
     results = [
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])
         for (j, xi), (k, eta), (l, eps) in product(gens.keys(), repeat=3)
@@ -400,26 +525,35 @@ def adjointness_deviation(basis: FockBasis) -> float:
 
     Exact on the whole truncated basis, including the cutoff shell: the
     clipped raising entries pair with lowering entries from patterns outside
-    the basis, so no retained matrix element is affected.
+    the basis, so no retained matrix element is affected.  The adjoint's entries
+    are the transposed ones, with negated codes, summed over all columns at once.
     """
+    labels = _labels(basis)
     devs = []
     for mode in (1, 2):
-        plus = build_generator(basis, f"b{mode}+")
-        minus = build_generator(basis, f"b{mode}-")
-        devs.append((plus.adjoint() - minus).max_abs())
+        plus, minus = (_coded(labels, build_generator(basis, f"b{mode}{sign}")) for sign in "+-")
+        slots, size = _Slots(-plus.present, minus.present), basis.size
+        sums = slots.sums(0, size, (plus.op.rows, -plus.codes, np.conj(plus.op.vals)))
+        sums -= slots.sums(0, size, _entries(minus, 0, size))
+        devs.append(_worst(0.0, sums))
     return float(np.max(devs))  # a NaN deviation propagates
 
 
 def pair_anticommutator_deviation(basis: FockBasis) -> float:
     """Largest interior entry of {b_j^-, b_j^+} - 2 h_j over both modes."""
-    interior = basis.interior_indices(2)
+    labels = _labels(basis)
+    count = len(basis.interior_indices(2))
     devs = []
     for mode in (1, 2):
-        plus = build_generator(basis, f"b{mode}+")
-        minus = build_generator(basis, f"b{mode}-")
-        h = build_generator(basis, f"h{mode}")
-        anti = bracket(minus, plus, "anticommutator", columns=interior)
-        devs.append((anti - 2.0 * h).max_abs(columns=interior))
+        plus, minus, h = (_coded(labels, build_generator(basis, name))
+                          for name in (f"b{mode}+", f"b{mode}-", f"h{mode}"))
+        anti = _anticommutator(basis, labels, minus, plus, count)
+        slots, dev = _Slots(anti.present, h.present), 0.0
+        for c0, c1 in _blocks(count):
+            sums = slots.sums(c0, c1, _entries(anti, c0, c1))
+            sums -= slots.sums(c0, c1, _entries(h, c0, c1, 2.0))
+            dev = _worst(dev, sums)
+        devs.append(dev)
     return float(np.max(devs))  # a NaN deviation propagates
 
 

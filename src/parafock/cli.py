@@ -45,7 +45,7 @@ from .resolution import (
     stieltjes_moment_check,
 )
 from .specfun import bessel_i, bessel_k
-from .verify import ALL_CHECKS, P_GRID, run_all  # noqa: F401 (cli.ALL_CHECKS stays public)
+from .verify import ALL_CHECKS, P_GRID, _worse, run_all  # noqa: F401 (cli.ALL_CHECKS stays public)
 from .zeromodes import _validate_family, kernel_oracle, zero_mode_coeffs, zero_mode_vector
 
 _FORMATS = ("csv", "json")
@@ -54,7 +54,7 @@ _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 
 # The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
-# takes 1.2-1.4 s and 72 MiB and verify-all about 6 s; both grow as cutoff**3
+# takes 0.75-0.8 s and 54 MiB and verify-all about 3 s; both grow as cutoff**3
 # (cutoff 200 would take about 30 times the time and memory for each p).
 _RELATION_CUTOFF_MAX = 64
 
@@ -286,7 +286,7 @@ def _cmd_b2_elements(args: argparse.Namespace) -> Table:
         closed = b2_element(args.p, jp, args.alpha_prime, args.j, args.k, args.alpha)
         oracle = b2_element_oracle(basis, jp, args.alpha_prime, args.j, args.k, args.alpha, args.nmax)
         deviation = abs(closed - oracle)
-        worst = max(worst, deviation)
+        worst = _worse(worst, deviation)
         rows.append([jp, closed.real, closed.imag, oracle.real, oracle.imag, deviation])
     return Table(
         columns=["jp", "closed_re", "closed_im", "oracle_re", "oracle_im", "abs_dev"],
@@ -330,7 +330,7 @@ def _cmd_moments(args: argparse.Namespace) -> Table:
     worst = 0.0
     for n in range(args.nmax + 1):
         report = stieltjes_moment_check(args.kind, args.p, args.j, n, grid=grid)
-        worst = max(worst, report.rel_err)
+        worst = _worse(worst, report.rel_err)
         rows.append([n, report.quadrature, report.closed_form, report.rel_err])
     return Table(
         columns=["n", "quadrature", "closed_form", "rel_err"],

@@ -65,6 +65,11 @@ class CheckResult:
     parts: tuple[tuple[str, float], ...]  # (part, worst deviation), in the order first added
 
 
+def _worse(worst: float, deviation: float) -> float:
+    """The larger of a running worst and a new deviation, a NaN read as inf: every gate's fold."""
+    return max(worst, math.inf if math.isnan(deviation) else deviation)
+
+
 class _Gate:
     """One suite's running worst deviation per part, from its creation to ``finish``."""
 
@@ -74,9 +79,7 @@ class _Gate:
         self.t0 = time.perf_counter()
 
     def add(self, part: str, deviation: float) -> None:
-        if math.isnan(deviation):
-            deviation = math.inf
-        self.parts[part] = max(self.parts.get(part, 0.0), deviation)
+        self.parts[part] = _worse(self.parts.get(part, 0.0), deviation)
 
     def finish(self, detail: str) -> CheckResult:
         parts = tuple((part, float(dev)) for part, dev in self.parts.items())

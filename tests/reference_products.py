@@ -1,4 +1,4 @@
-"""The engine's former sparse products and triple-relation loop, kept as references.
+"""The engine's former sparse products and relation checks, kept as references.
 
 ``ReferenceOperator`` holds the same (row, col, value) arrays as
 ``SparseOperator`` and sums, multiplies and restricts them as the engine did
@@ -7,14 +7,17 @@ recounted by every product and each left index comes from ``_ranges``.
 ``reference_triple_deviations`` is the former body of
 ``verify_triple_relations``: it restricts a generator to the interior once per
 (pair, l), adds each right side to a zero operator and subtracts it from
-every commutator.
+every commutator.  ``arithmetic_triple_deviations``,
+``arithmetic_adjointness_deviation`` and ``arithmetic_pair_anticommutator_deviation``
+are the former bodies of the three relation checks, written in ``SparseOperator``
+arithmetic before the checks summed their terms on label-shift slots.
 """
 
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from parafock import build_generator
+from parafock import bracket, build_generator
 from parafock.fockspace import _ranges
 
 
@@ -149,3 +152,54 @@ def reference_triple_deviations(basis) -> dict:
             dev = (lhs - rhs).max_abs()
             deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = dev
     return deviations
+
+
+def _generators(basis):
+    return {
+        (mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
+        for mode in (1, 2)
+        for sign in (-1, 1)
+    }
+
+
+def arithmetic_triple_deviations(basis) -> dict:
+    """Deviation of each relation, keyed ((j, xi), (k, eta), (l, eps)), in operator arithmetic."""
+    gens = _generators(basis)
+    interior, reach = basis.interior_indices(3), basis.interior_indices(2)
+    inner = {key: gen.on_columns(interior) for key, gen in gens.items()}
+    deviations = {}
+    for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
+        anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator", columns=reach)
+        anti_inner = anti.on_columns(interior)
+        for (l, eps), gen in gens.items():
+            lhs = anti @ inner[(l, eps)] - gen @ anti_inner
+            rhs = None
+            if l == j and eps != xi:
+                rhs = float(eps - xi) * inner[(k, eta)]
+            if l == k and eps != eta:
+                term = float(eps - eta) * inner[(j, xi)]
+                rhs = term if rhs is None else rhs + term
+            dev = (lhs if rhs is None else lhs - rhs).max_abs()
+            deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = dev
+    return deviations
+
+
+def arithmetic_adjointness_deviation(basis) -> float:
+    devs = []
+    for mode in (1, 2):
+        plus = build_generator(basis, f"b{mode}+")
+        minus = build_generator(basis, f"b{mode}-")
+        devs.append((plus.adjoint() - minus).max_abs())
+    return float(np.max(devs))
+
+
+def arithmetic_pair_anticommutator_deviation(basis) -> float:
+    interior = basis.interior_indices(2)
+    devs = []
+    for mode in (1, 2):
+        plus = build_generator(basis, f"b{mode}+")
+        minus = build_generator(basis, f"b{mode}-")
+        h = build_generator(basis, f"h{mode}")
+        anti = bracket(minus, plus, "anticommutator", columns=interior)
+        devs.append((anti - 2.0 * h).max_abs(columns=interior))
+    return float(np.max(devs))

@@ -2,11 +2,10 @@
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parafock import (
@@ -24,7 +23,13 @@ from parafock import (
     verify_triple_relations,
     zero_mode_vector,
 )
-from reference_products import ReferenceOperator, reference_triple_deviations
+from reference_products import (
+    ReferenceOperator,
+    arithmetic_adjointness_deviation,
+    arithmetic_pair_anticommutator_deviation,
+    arithmetic_triple_deviations,
+    reference_triple_deviations,
+)
 from reference_walks import reference_apply, reference_apply_on
 
 RELATION_TOL = 1e-12
@@ -130,61 +135,51 @@ def test_triple_relations_match_the_full_evaluation():
 
 
 def test_triple_relations_read_no_column_past_the_second_last_shell(monkeypatch):
-    # no right factor reaches the cutoff shell, so its columns are never built
-    right_cols = []
-    matmul = SparseOperator.__matmul__
+    # no product reads a right factor column on the cutoff shell, so those columns are never built
+    from parafock import algebra
 
-    def recording(self, other):
-        right_cols.append(other.cols)
-        return matmul(self, other)
+    ranges = []
+    product_terms = algebra._product
 
-    monkeypatch.setattr(SparseOperator, "__matmul__", recording)
+    def recording(a, b, c0, c1):
+        ranges.append((c0, c1))
+        return product_terms(a, b, c0, c1)
+
+    monkeypatch.setattr(algebra, "_product", recording)
     for cutoff in (3, 6):
         basis = enumerate_basis(P_TEST, cutoff)
-        right_cols.clear()
+        ranges.clear()
         verify_triple_relations(basis)
-        assert max(basis.degree[cols].max(initial=0) for cols in right_cols) == cutoff - 2
+        assert min(c0 for c0, _ in ranges) == 0
+        assert basis.degree[max(c1 for _, c1 in ranges) - 1] == cutoff - 2
 
 
 def test_triple_relations_take_100_products(monkeypatch):
+    from parafock import algebra
+
     calls = [0]
-    matmul = SparseOperator.__matmul__
+    product_terms = algebra._product
 
-    def counting(self, other):
+    def counting(*args):
         calls[0] += 1
-        return matmul(self, other)
+        return product_terms(*args)
 
-    monkeypatch.setattr(SparseOperator, "__matmul__", counting)
+    monkeypatch.setattr(algebra, "_product", counting)
     verify_triple_relations(enumerate_basis(P_TEST, 6))
     # 10 anticommutators of two products each, then 4 commutators of two products per pair
     assert calls[0] == 100
 
 
-def test_triple_relations_restrict_each_factor_once(monkeypatch):
-    calls = Counter()
-    depth = [0]
+def test_relation_checks_call_no_operator_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator arithmetic called")
 
-    def counting(name, method):
-        def counted(*args):
-            # a combine called inside another (a - b is b scaled by -1, then a sum) counts once
-            calls[name] += name != "combine" or not depth[0]
-            depth[0] += 1
-            try:
-                return method(*args)
-            finally:
-                depth[0] -= 1
-
-        return counted
-
-    for attr, name in (("__matmul__", "matmul"), ("on_columns", "on_columns"), ("__add__", "combine"),
-                       ("__sub__", "combine"), ("__mul__", "combine"), ("__rmul__", "combine")):
-        monkeypatch.setattr(SparseOperator, attr, counting(name, getattr(SparseOperator, attr)))
-    verify_triple_relations(enumerate_basis(P_TEST, 8))
-    # restricted once each: 4 generators to the interior, the 2 factors of each of the 10
-    # anticommutators to the reach, and the 10 anticommutators to the interior; combined:
-    # 10 anticommutator sums, 40 commutator differences, 20 scaled right-side terms,
-    # 4 two-term right sides summed, and the 16 nonzero right sides subtracted
-    assert dict(calls) == {"matmul": 100, "on_columns": 4 + 20 + 10, "combine": 10 + 40 + 20 + 4 + 16}
+    for name in ("__matmul__", "__add__", "__sub__", "__mul__", "__rmul__", "adjoint", "on_columns", "max_abs"):
+        monkeypatch.setattr(SparseOperator, name, refuse)
+    basis = enumerate_basis(P_TEST, 8)
+    assert verify_triple_relations(basis).passed
+    assert adjointness_deviation(basis) == 0.0
+    assert pair_anticommutator_deviation(basis) <= RELATION_TOL
 
 
 def test_triple_relations_subtract_each_right_side_as_one_sum(monkeypatch):
@@ -213,6 +208,35 @@ def test_triple_relations_match_the_former_loop_bit_for_bit(p):
         for r in verify_triple_relations(basis).relations:
             want = expected[(r.j, r.xi), (r.k, r.eta), (r.l, r.eps)]
             assert r.deviation.hex() == want.hex(), (p, cutoff, r)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.floats(1.0, 120.0, exclude_min=True), cutoff=st.integers(3, 24))
+# at cutoffs 3-5 the interior is a few columns and some groups of terms are empty
+@example(p=1.0 + 2.0**-40, cutoff=3)
+@example(p=2.5, cutoff=4)
+@example(p=120.0, cutoff=5)
+def test_relation_checks_match_the_operator_arithmetic_bit_for_bit(p, cutoff):
+    basis = enumerate_basis(p, cutoff)
+    expected = arithmetic_triple_deviations(basis)
+    report = verify_triple_relations(basis)
+    for r in report.relations:
+        assert r.deviation.hex() == expected[(r.j, r.xi), (r.k, r.eta), (r.l, r.eps)].hex(), r
+    assert adjointness_deviation(basis).hex() == arithmetic_adjointness_deviation(basis).hex()
+    assert pair_anticommutator_deviation(basis).hex() == arithmetic_pair_anticommutator_deviation(basis).hex()
+
+
+def test_triple_relations_peak_memory_stays_below_the_operator_arithmetic():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        verify_triple_relations(enumerate_basis(2.5, 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the check in SparseOperator arithmetic peaked at 8,550,686-8,551,423 bytes in three runs
+    assert peak <= 8_551_423, peak
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,8 +7,10 @@ import math
 import subprocess
 import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
+import numpy as np
 import pytest
 
 from parafock import algebra, cli
@@ -236,11 +238,32 @@ def test_verify_all_with_restricted_grid():
 
 
 def test_verify_all_exits_1_on_a_nan_deviation(monkeypatch, capsys):
-    monkeypatch.setattr(algebra.SparseOperator, "max_abs", lambda self, columns=None: math.nan)
+    build = algebra.build_generator
+
+    def nan_generator(basis, name):
+        # a NaN in the generator's first value travels through the relation checks' sums
+        op = build(basis, name)
+        return algebra.SparseOperator(op.dim, op.rows, op.cols, np.concatenate(([math.nan], op.vals[1:])))
+
+    monkeypatch.setattr(algebra, "build_generator", nan_generator)
     assert cli.main(["verify-all", "--p", "2.5", "--cutoff", "8"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("triple_relations,false,inf,")
     assert "# all_passed=false" in lines
+
+
+def test_b2_elements_summary_reads_a_nan_deviation_as_inf(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "b2_element", lambda *args: complex(math.nan, 0.0))
+    args = ["b2-elements", "--p", "2.5", "--j", "0", "--k", "2", "--alpha", "1,0", "--alpha-prime", "1,0"]
+    assert cli.main(args) == 0
+    assert "# max_abs_dev=inf" in capsys.readouterr().out.splitlines()
+
+
+def test_moments_summary_reads_a_nan_error_as_inf(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "stieltjes_moment_check",
+                        lambda *args, **kwargs: SimpleNamespace(quadrature=1.0, closed_form=1.0, rel_err=math.nan))
+    assert cli.main(["moments", "--p", "2.5", "--j", "0", "--kind", "I", "--nmax", "2"]) == 0
+    assert "# max_rel_err=inf" in capsys.readouterr().out.splitlines()
 
 
 def test_usage_failures_exit_2():
