@@ -8,9 +8,10 @@ labels of a sorted column set, the whole basis or one h2 sector for the
 oracles: a move whose target is outside the basis (``find`` gives -1) is
 skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
-operator arrays are read-only.  The relation checks never build the
-operators they test: they add product terms on label-shift slots
-(``_Slots``), with the bits the ``SparseOperator`` arithmetic would give.
+operator arrays are read-only.  The relation checks build only their
+anticommutators, with ``bracket``; each deviation adds product terms on
+label-shift slots (``_Slots``), with the bits the ``SparseOperator``
+arithmetic would give, and builds no commutator or right side.
 """
 
 from __future__ import annotations
@@ -362,13 +363,6 @@ def _labels(basis: FockBasis) -> np.ndarray:
     return (basis.degree * radix + basis.m12) * radix + basis.m11
 
 
-def _index_of(basis: FockBasis, labels: np.ndarray) -> np.ndarray:
-    """Basis index of each pattern label, the inverse of ``_labels``."""
-    rest, m11 = np.divmod(labels, basis.cutoff + 1)
-    degree, m12 = np.divmod(rest, basis.cutoff + 1)
-    return basis.find(m12, degree - m12, m11)
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, sorted: ``np.unique`` without the ``numpy.ma`` import it makes."""
     values = np.sort(values)
@@ -425,18 +419,14 @@ def _product(a: _Coded, b: _Coded, c0: int, c1: int):
     return b.op.cols[right], a.codes[left] + b.codes[right], a.op.vals[left] * b.op.vals[right]
 
 
-def _anticommutator(basis: FockBasis, labels: np.ndarray, a: _Coded, b: _Coded, count: int) -> _Coded:
-    """{a, b} on columns 0 .. count - 1: per position (0 + a b terms) + (0 + b a terms), zeros dropped."""
-    slots = _Slots(np.add.outer(a.present, b.present).ravel())
-    parts = []
-    for c0, c1 in _blocks(count):
-        total = slots.sums(c0, c1, _product(a, b, c0, c1)) + slots.sums(c0, c1, _product(b, a, c0, c1))
-        keep = np.flatnonzero(total)
-        cols, codes = keep // slots.n + c0, slots.codes[keep % slots.n]
-        # the row is the pattern whose labels are the column's shifted by the code
-        parts.append((_index_of(basis, labels[cols] + codes), cols, total[keep], codes))
-    rows, cols, vals, codes = (np.concatenate(x) for x in zip(*parts))
-    return _Coded(SparseOperator(basis.size, rows, cols, vals), codes, slots.codes)
+def _anticommutator(labels: np.ndarray, a: _Coded, b: _Coded, count: int) -> _Coded:
+    """{a, b} on columns 0 .. count - 1, built by ``bracket``, with the label-shift codes of its entries.
+
+    Ten per basis, against 80 slot products for the relations, so the sorts of ``@`` and
+    ``+`` here are a small share of the check.
+    """
+    anti = bracket(a.op, b.op, "anticommutator", columns=np.arange(count))
+    return _coded(labels, anti)
 
 
 def _worst(worst, sums: np.ndarray):
@@ -476,9 +466,10 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     (j, xi) and (k, eta) changes only the order of two-term sums, which commute
     exactly, so each of the 10 unordered pairs is evaluated once for both orders.
 
-    Each relation's deviation is the largest |X - Y - R| per position, where X sums the
-    terms of {.,.} b_l, Y those of b_l {.,.} and R the right side, each from 0: the bits of
-    (anti @ b_l - b_l @ anti) - rhs in the operator arithmetic, without building it.
+    The anticommutators are built with ``bracket``.  Each relation's deviation is the
+    largest |X - Y - R| per position, where X sums the terms of {.,.} b_l, Y those of
+    b_l {.,.} and R the right side, each from 0: the bits of (anti @ b_l - b_l @ anti) - rhs
+    in the operator arithmetic, without building it.
     """
     labels = _labels(basis)
     gens = {
@@ -490,7 +481,7 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     inner, reach = len(basis.interior_indices(3)), len(basis.interior_indices(2))
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        anti = _anticommutator(basis, labels, gens[(j, xi)], gens[(k, eta)], reach)
+        anti = _anticommutator(labels, gens[(j, xi)], gens[(k, eta)], reach)
         for (l, eps), gen in gens.items():
             rhs = []
             if l == j and eps != xi:
@@ -547,7 +538,7 @@ def pair_anticommutator_deviation(basis: FockBasis) -> float:
     for mode in (1, 2):
         plus, minus, h = (_coded(labels, build_generator(basis, name))
                           for name in (f"b{mode}+", f"b{mode}-", f"h{mode}"))
-        anti = _anticommutator(basis, labels, minus, plus, count)
+        anti = _anticommutator(labels, minus, plus, count)
         slots, dev = _Slots(anti.present, h.present), 0.0
         for c0, c1 in _blocks(count):
             sums = slots.sums(c0, c1, _entries(anti, c0, c1))

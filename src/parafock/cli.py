@@ -54,7 +54,7 @@ _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 
 # The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
-# takes 0.75-0.8 s and 54 MiB and verify-all about 3 s; both grow as cutoff**3
+# takes 0.75-0.8 s and 62 MiB and verify-all 3-4 s; both grow as cutoff**3
 # (cutoff 200 would take about 30 times the time and memory for each p).
 _RELATION_CUTOFF_MAX = 64
 

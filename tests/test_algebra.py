@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -138,48 +139,73 @@ def test_triple_relations_read_no_column_past_the_second_last_shell(monkeypatch)
     # no product reads a right factor column on the cutoff shell, so those columns are never built
     from parafock import algebra
 
-    ranges = []
-    product_terms = algebra._product
+    degrees = []
+    product_terms, matmul = algebra._product, SparseOperator.__matmul__
 
-    def recording(a, b, c0, c1):
-        ranges.append((c0, c1))
+    def recording_terms(a, b, c0, c1):
+        degrees.append(basis.degree[c0:c1])
         return product_terms(a, b, c0, c1)
 
-    monkeypatch.setattr(algebra, "_product", recording)
+    def recording_product(self, other):
+        degrees.append(basis.degree[other.cols])
+        return matmul(self, other)
+
+    monkeypatch.setattr(algebra, "_product", recording_terms)
+    monkeypatch.setattr(SparseOperator, "__matmul__", recording_product)
     for cutoff in (3, 6):
         basis = enumerate_basis(P_TEST, cutoff)
-        ranges.clear()
+        degrees.clear()
         verify_triple_relations(basis)
-        assert min(c0 for c0, _ in ranges) == 0
-        assert basis.degree[max(c1 for _, c1 in ranges) - 1] == cutoff - 2
+        assert max(d.max(initial=0) for d in degrees) == cutoff - 2
 
 
 def test_triple_relations_take_100_products(monkeypatch):
     from parafock import algebra
 
-    calls = [0]
-    product_terms = algebra._product
+    calls = Counter()
+    product_terms, matmul = algebra._product, SparseOperator.__matmul__
 
-    def counting(*args):
-        calls[0] += 1
+    def counting_terms(*args):
+        calls["slots"] += 1
         return product_terms(*args)
 
-    monkeypatch.setattr(algebra, "_product", counting)
+    def counting_product(self, other):
+        calls["matmul"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(algebra, "_product", counting_terms)
+    monkeypatch.setattr(SparseOperator, "__matmul__", counting_product)
     verify_triple_relations(enumerate_basis(P_TEST, 6))
-    # 10 anticommutators of two products each, then 4 commutators of two products per pair
-    assert calls[0] == 100
+    # 10 anticommutators of two operator products each, then 4 commutators of two slot products per pair
+    assert dict(calls) == {"matmul": 20, "slots": 80}
 
 
-def test_relation_checks_call_no_operator_arithmetic(monkeypatch):
+def test_relation_checks_build_only_the_anticommutators(monkeypatch):
+    calls = Counter()
+
+    def counting(name, method):
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return counted
+
     def refuse(*args, **kwargs):
         raise AssertionError("operator arithmetic called")
 
-    for name in ("__matmul__", "__add__", "__sub__", "__mul__", "__rmul__", "adjoint", "on_columns", "max_abs"):
+    for name in ("__matmul__", "__add__", "on_columns"):
+        monkeypatch.setattr(SparseOperator, name, counting(name, getattr(SparseOperator, name)))
+    for name in ("__sub__", "__mul__", "__rmul__", "adjoint", "max_abs"):
         monkeypatch.setattr(SparseOperator, name, refuse)
     basis = enumerate_basis(P_TEST, 8)
     assert verify_triple_relations(basis).passed
+    # each anticommutator: both right factors cut to the reach, two products and one sum
+    assert dict(calls) == {"on_columns": 20, "__matmul__": 20, "__add__": 10}
+    calls.clear()
     assert adjointness_deviation(basis) == 0.0
+    assert not calls
     assert pair_anticommutator_deviation(basis) <= RELATION_TOL
+    assert dict(calls) == {"on_columns": 4, "__matmul__": 4, "__add__": 2}
 
 
 def test_triple_relations_subtract_each_right_side_as_one_sum(monkeypatch):
