@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fockspace import FockBasis, FockVector, cartan_weights, even_ind, odd_ind
+from .fockspace import FockBasis, FockVector, _distinct, cartan_weights, even_ind, odd_ind
 
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
 
@@ -361,14 +361,6 @@ def _labels(basis: FockBasis) -> np.ndarray:
     """One integer per pattern, linear in (degree, m12, m11) and increasing in basis order."""
     radix = basis.cutoff + 1
     return (basis.degree * radix + basis.m12) * radix + basis.m11
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted: ``np.unique`` without the ``numpy.ma`` import it makes."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def _coded(labels: np.ndarray, op: SparseOperator) -> _Coded:

@@ -28,6 +28,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, from one sort."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _require_integers(minimum=None, **labels) -> None:
     """TypeError unless each label is an int or numpy integer, not a bool; ValueError below ``minimum``."""
     for name, value in labels.items():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import _require_integers
-from .specfun import _gauss_panels, besseli_values, besselk_values
+from .specfun import _gauss_legendre, _gauss_panels, besseli_values, besselk_values
 
 _MEASURE_KINDS = ("I", "II")
 _TAIL_TOL = 1e-12
@@ -28,7 +28,12 @@ _MOMENT_N_MAX = 8
 _NCHECK_MAX = 2 * _MOMENT_N_MAX
 _MODES = ("offdiag", "cat")
 _RHO_MAX = 1e154  # rho^2 stays a finite double
-_GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL20_NODES, _GL20_WEIGHTS = _gauss_legendre(
+    (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+     0.7463319064601508, 0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095),
+    (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+     0.1019301198172407, 0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893),
+)
 
 
 def _validate_measure_args(kind: str, p: float, j: int) -> float:

@@ -13,14 +13,17 @@ working digits; mpmath supplies only the one-off prefactors, and the first
 ``bessel_k`` call imports it.  An independent
 integral-representation evaluator serves as oracle and as the stable backend
 for quadrature grids; it and the radial grids share one Gauss-Legendre panel rule.
+Its 24- and 20-point reference rules are pinned tables of ``leggauss``'s bits, so no
+run loads ``numpy.polynomial`` or calls LAPACK to build them, and no output depends
+on the LAPACK build.
 The integral reads its nodes, weights and cosh(t) - 1 as prefixes of one
 read-only table of half-unit panels, built on first use and grown to exactly
 the panels a bucket asks for, and takes log cosh(nu t) once per call.  The
 vectorized I series tests its stop every 8 terms, which returns the same
 bits as a test after every term.
 
-Operating envelope: series arguments are validated to x <= 50; the integral
-representation has no such restriction.
+Operating envelope: series arguments are validated to x <= 50, the vectorized
+I series to x <= 705; the integral representation has no such restriction.
 """
 
 from __future__ import annotations
@@ -30,18 +33,36 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .fockspace import _distinct
 
 _RELATIVE_STOP = 1e-17
 _MAX_TERMS = 100000
 _SERIES_X_MAX = 50.0
+_I_GRID_X_MAX = 705.0
 _HYP_X_MAX = 650.0
 _NU_MAX = 60.0
 _INTEGER_ORDER_MARGIN = 1e-6
 _LOG_HALF_TINIEST = math.log(5e-324) - math.log(2.0)  # log(x / 2) at x = 5e-324, whose half rounds to 0
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
-_GL24_NODES, _GL24_WEIGHTS = leggauss(24)
+
+def _gauss_legendre(nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only rule on [-1, 1] mirrored from the upper halves of ``leggauss(n)``, bit for bit."""
+    rule = np.concatenate((-np.array(nodes[::-1]), nodes)), np.concatenate((weights[::-1], weights))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+_GL24_NODES, _GL24_WEIGHTS = _gauss_legendre(
+    (0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451, 0.5454214713888396,
+     0.6480936519369755, 0.7401241915785544, 0.820001985973903, 0.8864155270044011, 0.9382745520027328,
+     0.9747285559713095, 0.9951872199970213),
+    (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552, 0.10744427011596556,
+     0.09761865210411393, 0.0861901615319532, 0.07334648141108016, 0.05929858491543636, 0.04427743881741941,
+     0.02853138862893356, 0.01234122979998869),
+)
 
 
 @dataclass(frozen=True)
@@ -354,7 +375,7 @@ def besselk_values(nu: float, xs: np.ndarray, store: dict | None = None) -> np.n
     out = np.empty_like(xs)
     buckets = np.floor(np.log2(xs) / 2.0).astype(int)
     lc = None  # log cosh(anu t), taken once on the first bucket integrated: it needs the most nodes
-    for b in np.unique(buckets):
+    for b in _distinct(buckets):
         mask = buckets == b
         xb = xs[mask]
         by_order = {} if store is None else store.setdefault(xb.tobytes(), {})
@@ -368,14 +389,17 @@ def besseli_values(nu: float, xs: np.ndarray) -> np.ndarray:
     """I_nu on a grid of positive arguments via the ascending series, nu > -1.
 
     Cancellation-free; usable beyond the x <= 50 envelope of bessel_i as the
-    quadrature backend (terms stay within double range for x up to ~700).
-    A point whose leading term underflows sums to 0 exactly.
+    quadrature backend up to x = 705 (from 705.75 a term times (x/2)^2, taken
+    before the division, overflows).  A point whose leading term underflows
+    sums to 0 exactly.
     """
     if not nu > -1:
         raise ValueError(f"need nu > -1, got {nu}")
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0):
         raise ValueError("all grid points must be positive")
+    if not np.all(xs <= _I_GRID_X_MAX):
+        raise ValueError(f"grid points past x = {_I_GRID_X_MAX} are outside the operating range")
     half = xs / 2.0
     log_half = np.log(half, out=np.full_like(half, _LOG_HALF_TINIEST), where=half > 0)
     term = np.exp(_log_i_lead(nu, log_half))

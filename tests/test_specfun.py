@@ -21,6 +21,7 @@ from reference_panels import reference_grid_rule, reference_k_rule
 from reference_quadrature import reference_besseli_values, reference_besselk_values
 
 from parafock import (
+    SeriesResult,
     bessel_i,
     bessel_k,
     bessel_k_oracle,
@@ -415,6 +416,14 @@ def test_k_panels_match_the_former_tiled_form_bit_for_bit(n_panels):
     assert got_w.tobytes() == w.tobytes()
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout's package; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_mpmath_loads_on_the_first_bessel_k():
     # a fresh interpreter, so no earlier import in this process decides the answer
     code = (
@@ -423,10 +432,38 @@ def test_mpmath_loads_on_the_first_bessel_k():
         "parafock.bessel_k(0.3, 5.0)\n"
         "assert 'mpmath' in sys.modules\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
+
+
+def test_no_run_loads_numpy_polynomial_or_numpy_ma():
+    # the rules are pinned tables and the K buckets are grouped by one sort; a fresh
+    # interpreter, so no earlier import in this process decides the answer
+    code = (
+        "import contextlib, io, sys\n"
+        "import parafock.cli\n"
+        "def check():\n"
+        "    assert 'numpy.polynomial' not in sys.modules and 'numpy.ma' not in sys.modules\n"
+        "check()\n"
+        "for argv in (['bessel', '--kind', 'k', '--nu', '0.3', '--x', '2.5'],\n"
+        "             ['moments', '--p', '2.5', '--j', '1', '--kind', 'II'],\n"
+        "             ['resolution', '--p', '2.5', '--j', '0']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert parafock.cli.main(argv) == 0, argv\n"
+        "    check()\n"
+    )
+    _run_fresh(code)
+
+
+@pytest.mark.parametrize(
+    "rule, n", [((specfun._GL24_NODES, specfun._GL24_WEIGHTS), 24), ((resolution._GL20_NODES, resolution._GL20_WEIGHTS), 20)]
+)
+def test_pinned_rules_hold_the_leggauss_bits_read_only(rule, n):
+    from numpy.polynomial.legendre import leggauss
+
+    for pinned, computed in zip(rule, leggauss(n)):
+        assert pinned.tobytes() == computed.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            pinned[0] = 0.0
 
 
 def _outcome(fn, *args):
@@ -481,6 +518,17 @@ def test_besseli_values_at_the_edges_match_the_series_stopped_after_every_term()
                 assert _outcome(besseli_values, nu, xs) == _outcome(reference_besseli_values, nu, xs), nu
 
 
+@pytest.mark.parametrize("x", [705.7, 706.0, 710.0, 1e308, math.inf])
+def test_besseli_values_rejects_points_past_its_bound(x):
+    # from x = 705.75 a term times (x/2)^2 overflows before the division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (-0.5, 0.0, 3.7):
+            assert np.all(np.isfinite(besseli_values(nu, [1.0, 700.0, 705.0])))
+            with pytest.raises(ValueError, match="operating range"):
+                besseli_values(nu, [1.0, x])
+
+
 @pytest.mark.parametrize("nu, x", [(0.005, 5e-307), (0.01, 3e-307), (0.02, 5e-307), (0.04, 5e-307)])
 def test_k_node_table_past_the_cosh_overflow_warns_nothing(monkeypatch, nu, x):
     # the panel cutoff is 710.5 at these points, past cosh's overflow at t = 710.48
@@ -525,7 +573,28 @@ def test_k_node_table_history_changes_no_value():
         "    assert bucket() == fresh\n"
         "check_table(grown)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
+
+
+# Orders near -1, near integers and up to 60, at arguments log-uniform over the doubles.
+_EDGE_ORDERS = st.one_of(
+    st.floats(-1.0, -0.99),
+    st.builds(lambda n, offset: n + offset, st.integers(0, 60), st.floats(-1e-2, 1e-2)),
+    st.floats(-1.0, 60.0),
+)
+_LOG_UNIFORM_X = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda e: min(max(10.0**e, 5e-324), 1.7e308))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nu=_EDGE_ORDERS, x=_LOG_UNIFORM_X, xs=st.lists(_LOG_UNIFORM_X, min_size=1, max_size=6))
+def test_bessel_routes_return_finite_values_or_raise_value_error(nu, x, xs):
+    calls = ((bessel_i, nu, x), (bessel_k, nu, x), (besseli_values, nu, xs), (besselk_values, nu, xs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, *args in calls:
+            try:
+                result = fn(*args)
+            except ValueError:
+                continue
+            values = (result.value, result.tail_bound) if isinstance(result, SeriesResult) else result
+            assert np.all(np.isfinite(values)), (fn.__name__, nu, args)
