@@ -8,10 +8,10 @@ labels of a sorted column set, the whole basis or one h2 sector for the
 oracles: a move whose target is outside the basis (``find`` gives -1) is
 skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
-operator arrays are read-only.  The relation checks build only their
-anticommutators, with ``bracket``; each deviation adds product terms on
-label-shift slots (``_Slots``), with the bits the ``SparseOperator``
-arithmetic would give, and builds no commutator or right side.
+operator arrays are read-only.  The adjoint and pair checks are their
+identities in ``SparseOperator`` arithmetic; the triple check builds only its
+anticommutators, with ``bracket``, and adds the other product terms on
+label-shift slots (``_Slots``), with the bits that arithmetic would give.
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ def bracket(a: SparseOperator, b: SparseOperator, kind: str, columns=None) -> Sp
     return ab + ba if kind == "anticommutator" else ab - ba
 
 
-# Columns per block of the relation checks: one block's terms and slot sums stay at a few MB
+# Columns per block of the triple check: one block's terms and slot sums stay at a few MB
 # whatever the cutoff, so only the anticommutator being read grows with the basis.
 _BLOCK_COLUMNS = 8192
 
@@ -411,21 +411,6 @@ def _product(a: _Coded, b: _Coded, c0: int, c1: int):
     return b.op.cols[right], a.codes[left] + b.codes[right], a.op.vals[left] * b.op.vals[right]
 
 
-def _anticommutator(labels: np.ndarray, a: _Coded, b: _Coded, count: int) -> _Coded:
-    """{a, b} on columns 0 .. count - 1, built by ``bracket``, with the label-shift codes of its entries.
-
-    Ten per basis, against 80 slot products for the relations, so the sorts of ``@`` and
-    ``+`` here are a small share of the check.
-    """
-    anti = bracket(a.op, b.op, "anticommutator", columns=np.arange(count))
-    return _coded(labels, anti)
-
-
-def _worst(worst, sums: np.ndarray):
-    """The running largest magnitude, NaN once any value is NaN."""
-    return np.maximum(worst, np.abs(sums).max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class RelationDeviation:
     """Deviation of one triple relation, identified by signs and mode indices."""
@@ -473,7 +458,8 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     inner, reach = len(basis.interior_indices(3)), len(basis.interior_indices(2))
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        anti = _anticommutator(labels, gens[(j, xi)], gens[(k, eta)], reach)
+        # ten per basis, against 80 slot products for the relations, so their sorts are a small share
+        anti = _coded(labels, bracket(gens[(j, xi)].op, gens[(k, eta)].op, "anticommutator", np.arange(reach)))
         for (l, eps), gen in gens.items():
             rhs = []
             if l == j and eps != xi:
@@ -487,7 +473,7 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
                 sums -= slots.sums(c0, c1, _product(gen, anti, c0, c1))
                 if rhs:
                     sums -= slots.sums(c0, c1, *(_entries(g, c0, c1, scale) for g, scale in rhs))
-                dev = _worst(dev, sums)
+                dev = np.maximum(dev, np.abs(sums).max(initial=0.0))  # NaN once any value is NaN
             deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = float(dev)
     results = [
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])
@@ -508,35 +494,23 @@ def adjointness_deviation(basis: FockBasis) -> float:
 
     Exact on the whole truncated basis, including the cutoff shell: the
     clipped raising entries pair with lowering entries from patterns outside
-    the basis, so no retained matrix element is affected.  The adjoint's entries
-    are the transposed ones, with negated codes, summed over all columns at once.
+    the basis, so no retained matrix element is affected.
     """
-    labels = _labels(basis)
-    devs = []
-    for mode in (1, 2):
-        plus, minus = (_coded(labels, build_generator(basis, f"b{mode}{sign}")) for sign in "+-")
-        slots, size = _Slots(-plus.present, minus.present), basis.size
-        sums = slots.sums(0, size, (plus.op.rows, -plus.codes, np.conj(plus.op.vals)))
-        sums -= slots.sums(0, size, _entries(minus, 0, size))
-        devs.append(_worst(0.0, sums))
+    devs = [
+        (build_generator(basis, f"b{mode}+").adjoint() - build_generator(basis, f"b{mode}-")).max_abs()
+        for mode in (1, 2)
+    ]
     return float(np.max(devs))  # a NaN deviation propagates
 
 
 def pair_anticommutator_deviation(basis: FockBasis) -> float:
     """Largest interior entry of {b_j^-, b_j^+} - 2 h_j over both modes."""
-    labels = _labels(basis)
-    count = len(basis.interior_indices(2))
+    interior = basis.interior_indices(2)
     devs = []
     for mode in (1, 2):
-        plus, minus, h = (_coded(labels, build_generator(basis, name))
-                          for name in (f"b{mode}+", f"b{mode}-", f"h{mode}"))
-        anti = _anticommutator(labels, minus, plus, count)
-        slots, dev = _Slots(anti.present, h.present), 0.0
-        for c0, c1 in _blocks(count):
-            sums = slots.sums(c0, c1, _entries(anti, c0, c1))
-            sums -= slots.sums(c0, c1, _entries(h, c0, c1, 2.0))
-            dev = _worst(dev, sums)
-        devs.append(dev)
+        plus, minus, h = (build_generator(basis, name) for name in (f"b{mode}+", f"b{mode}-", f"h{mode}"))
+        anti = bracket(minus, plus, "anticommutator", columns=interior)
+        devs.append((anti - 2.0 * h).max_abs(columns=interior))
     return float(np.max(devs))  # a NaN deviation propagates
 
 

@@ -125,9 +125,9 @@ def coherent_norm(p: float, j: int, alpha: complex) -> float:
     """
     _validate_family(j, j, p)
     x = abs(complex(alpha)) ** 2
-    if x == 0.0:
-        return 1.0
     nu = p / 2.0 + j
+    if x / 2.0 == 0.0:  # the series gives the limit 1 where log(x / 2) below has no value
+        return _norm_series(nu, x)
     isum = bessel_i(nu - 1.0, x).value + bessel_i(nu, x).value
     try:
         return math.exp((1.0 - nu) * math.log(x / 2.0) + math.lgamma(nu)) * isum

@@ -372,3 +372,12 @@ def test_underflowing_bessel_series_finish(args):
     numbers = [float(v) for ln in proc.stdout.splitlines()[1:] if not ln.startswith("#")
                for v in ln.split(",")]
     assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+@pytest.mark.parametrize("alpha", ["1.58e-162,0", "2.3e-162,0", "0,2.71e-162"])
+@pytest.mark.parametrize("normalized", [(), ("--normalized",)], ids=["plain", "normalized"])
+def test_coherent_norm_where_half_of_alpha_squared_underflows(alpha, normalized):
+    # |alpha|^2 rounds to 5e-324 and its half to 0, so the Bessel form has no log to take
+    proc = run_cli("coherent", "--p", "2.5", "--j", "0", "--k", "0", "--alpha", alpha, *normalized)
+    assert proc.returncode == 0, proc.stderr
+    assert "# bessel_norm=1" in proc.stdout.splitlines()

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -468,3 +469,44 @@ def test_b2_element_oracle_rejects_non_integer_labels_after_the_int_entry_is_cac
     b2_element_oracle(basis, 0, 0.3, 1, 2, 0.7, 20)
     with pytest.raises(TypeError):
         b2_element_oracle(basis, jp, 0.3, j, 2, 0.7, 20)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    p=st.floats(1.0, 120.0, exclude_min=True),
+    j=st.sampled_from([0, 1, 2, 3, 4, 300]),
+    dk=st.integers(0, 4),
+    log2_magnitude=st.floats(-1074.0, math.log2(5.0)),
+    phase=st.floats(-math.pi, math.pi),
+    beta=st.complex_numbers(max_magnitude=5.0),
+    kmax=st.integers(2, 12),
+)
+# |alpha|^2 rounds to 5e-324 and its half to 0
+@example(p=2.5, j=0, dk=0, log2_magnitude=math.log2(2.3e-162), phase=0.0, beta=0.5, kmax=4)
+def test_coherent_family_returns_finite_values_or_refuses(p, j, dk, log2_magnitude, phase, beta, kmax):
+    # |alpha| log-uniform over [5e-324, 5], where the norms and the normalized state always exist
+    alpha = cmath.rect(min(2.0**log2_magnitude, 5.0), phase)
+    k = j + dk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = build_coherent(p, j, k, alpha, normalized=True)
+        values = [coherent_norm(p, j, alpha), coherent_norm_series(p, j, alpha),
+                  coherent_overlap(p, j, -alpha, alpha), state.coeffs, state.tail_bound]
+        # these may refuse: a vanishing cat branch, k = 0, or beta^(l // 2) outside the double range
+        for call in (
+            lambda: cat_state(state, "+-"[dk % 2]),
+            lambda: b2_element(p, j - 1 + dk % 3, alpha, j, k, alpha),
+            lambda: bicoherent(p, j, j + dk % 2, alpha, beta, kmax),
+        ):
+            try:
+                got = call()
+            except (ValueError, TruncationError):
+                continue
+            if isinstance(got, complex):
+                values.append(got)
+            elif hasattr(got, "coeffs"):
+                values += [got.coeffs, got.tail_bound]
+            else:
+                values += [got.prefactors, got.ladder_coeffs, got.ladder_tail_bound,
+                           got.eigen_residual_b1, got.eigen_residual_b2sq]
+    assert all(np.isfinite(v).all() for v in values), values

@@ -5,6 +5,7 @@ deleted or renamed engine function would silently read 0 in a ``--trace`` run.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -24,3 +25,18 @@ def test_tracer_finds_its_names_and_counts_the_entries_an_apply_touches():
         uninstall()
     assert result.passed
     assert tr.counts["algebra.apply.nnz_touched"] > 0  # read through SparseOperator.column
+
+
+def test_tracer_sees_the_adjoint_and_pair_checks_in_operator_arithmetic():
+    tr = tracing.Tracer()
+    uninstall = tracing.install(tr)
+    try:
+        result = verify.check_adjointness()
+    finally:
+        uninstall()
+    assert result.passed
+    spans = Counter(span.name for span in tr.spans)
+    # per basis: two adjoint differences, then two bracket sums, two scalings and two differences for
+    # the pair check; sums on label-shift slots would leave only the bracket sums and no max_abs span
+    assert spans["algebra.combine"] == 40
+    assert spans["algebra.max_abs"] == 20
