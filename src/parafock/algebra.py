@@ -131,6 +131,8 @@ class SparseOperator:
         return len(self.vals)
 
     def column(self, col: int) -> dict[int, complex]:
+        """Entries of column ``col`` as {row: value}; its one caller outside the tests is
+        ``perfbench/tracer.py::_count_touched``, so it goes with ROADMAP item 1, step 2."""
         lo, hi = np.searchsorted(self.cols, (col, col + 1))
         return dict(zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()))
 

@@ -314,13 +314,6 @@ class BicoherentState:
     eigen_residual_b2sq: float
     ladder_tail_bound: float
 
-    def component(self, kidx: int) -> np.ndarray:
-        return self.prefactors[kidx] * self.ladder_coeffs
-
-    @property
-    def components(self) -> list[np.ndarray]:
-        return [self.component(i) for i in range(self.kmax + 1)]
-
 
 def bicoherent(
     p: float, j: int, l: int, alpha: complex, beta: complex, kmax: int

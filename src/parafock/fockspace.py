@@ -7,13 +7,12 @@ generators; raising generators can leave the set only through the m12 = cutoff
 shell.
 
 The basis is three integer label arrays plus a row-start table that only
-``FockBasis.find`` reads; ``GZPattern`` objects exist only at the API boundary.
+``FockBasis.find`` reads; ``GZPattern`` is taken only by ``weight_of``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -125,14 +124,6 @@ class FockBasis:
     def degree(self) -> np.ndarray:
         return self.m12 + self.m22
 
-    @cached_property
-    def patterns(self) -> tuple[GZPattern, ...]:
-        """The patterns in basis order, built on first use."""
-        return tuple(
-            GZPattern(*labels)
-            for labels in zip(self.m12.tolist(), self.m22.tolist(), self.m11.tolist())
-        )
-
     def find(self, m12, m22, m11):
         """Index of scalar or array labels, a numpy integer for scalars; -1 outside the basis."""
         inside = (0 <= m22) & (m22 <= m11) & (m11 <= m12) & (m12 <= self.cutoff)
@@ -197,13 +188,6 @@ class FockVector:
         vec = np.zeros(basis.size, dtype=np.complex128)
         vec[index] = values
         return cls(basis, vec)
-
-    @classmethod
-    def unit(cls, basis: FockBasis, pattern: GZPattern) -> "FockVector":
-        index = basis.find(pattern.m12, pattern.m22, pattern.m11)
-        if index < 0:
-            raise KeyError(pattern)
-        return cls.scatter(basis, index, 1.0)
 
     def _check_basis(self, other: "FockVector") -> None:
         a, b = self.basis, other.basis

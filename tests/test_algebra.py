@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from parafock import (
     GENERATOR_NAMES,
     FockVector,
-    GZPattern,
     SparseOperator,
     adjointness_deviation,
     bracket,
@@ -418,7 +417,7 @@ def test_t1_inverse_inverts_t1():
 
 def test_t1_inverse_rejects_misaligned_weight():
     basis = enumerate_basis(2.5, 3)
-    vec = FockVector.unit(basis, GZPattern(0, 0, 0))
+    vec = FockVector.scatter(basis, basis.find(0, 0, 0), 1.0)
     with pytest.raises(ValueError):
         t1_inverse_apply(vec, 2.5 / 2.0 + 0.37)
 

@@ -35,6 +35,29 @@ def binomial_size(cutoff):
     return math.comb(cutoff + 3, 3)
 
 
+def brute_force_labels(cutoff):
+    """Every (m12, m22, m11) of the cube with betweenness, sorted by (degree, m12, m11).
+
+    Built without the engine, so the tests below compare the label arrays with
+    an expectation that does not come from them.
+    """
+    cube = itertools.product(range(cutoff + 1), repeat=3)
+    labels = [(m12, m22, m11) for m12, m22, m11 in cube if m12 >= m11 >= m22]
+    return sorted(labels, key=lambda m: (m[0] + m[1], m[0], m[2]))
+
+
+def labels_of(basis):
+    """The basis label triples in basis order."""
+    return list(zip(basis.m12.tolist(), basis.m22.tolist(), basis.m11.tolist()))
+
+
+def unit(basis, m12, m22, m11):
+    """The basis vector of the pattern (m12, m22; m11), which must lie in the basis."""
+    index = basis.find(m12, m22, m11)
+    assert index >= 0
+    return FockVector.scatter(basis, index, 1.0)
+
+
 def test_enumeration_counts():
     assert enumerate_basis(3.0, 1).size == 4
     assert enumerate_basis(2.5, 2).size == 10
@@ -44,8 +67,8 @@ def test_enumeration_counts():
 
 def test_enumeration_small_patterns():
     basis = enumerate_basis(3.0, 1)
-    listed = [(m.m12, m.m22, m.m11) for m in basis.patterns]
-    assert listed == [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
+    assert labels_of(basis) == [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
+    assert labels_of(basis) == brute_force_labels(1)
 
 
 def test_weight_examples():
@@ -57,14 +80,15 @@ def test_weight_examples():
 
 def test_ordering_is_by_degree_then_m12_then_m11():
     basis = enumerate_basis(P_DEFAULT, 5)
-    keys = [(m.m12 + m.m22, m.m12, m.m11) for m in basis.patterns]
-    assert keys == sorted(keys)
+    assert labels_of(basis) == brute_force_labels(5)
+    keys = list(zip(basis.degree.tolist(), basis.m12.tolist(), basis.m11.tolist()))
+    assert keys == sorted(set(keys))
 
 
 def test_index_roundtrip():
     basis = enumerate_basis(P_DEFAULT, 4)
-    for i, m in enumerate(basis.patterns):
-        assert basis.find(m.m12, m.m22, m.m11) == i
+    for i, (m12, m22, m11) in enumerate(brute_force_labels(4)):
+        assert basis.find(m12, m22, m11) == i
 
 
 def test_betweenness_validation():
@@ -79,14 +103,14 @@ def test_betweenness_validation():
 def test_weight_multiplicity_is_min_rule():
     # multiplicity of weight (p/2+j, p/2+k) is min(j+1, k+1)
     basis = enumerate_basis(P_DEFAULT, 12)
+    w1, w2 = basis.weights()
+    expected = brute_force_labels(12)
     for j in range(5):
         for k in range(5):
-            count = sum(
-                1
-                for m in basis.patterns
-                if m.m11 == j and m.m12 + m.m22 - m.m11 == k
-            )
+            count = sum(1 for m12, m22, m11 in expected if m11 == j and m12 + m22 - m11 == k)
             assert count == min(j + 1, k + 1), (j, k)
+            on_basis = (w1 == P_DEFAULT / 2 + j) & (w2 == P_DEFAULT / 2 + k)
+            assert np.count_nonzero(on_basis) == count, (j, k)
 
 
 def test_parity_indicators():
@@ -100,14 +124,14 @@ def test_parity_indicators():
 def test_interior_indices():
     basis = enumerate_basis(P_DEFAULT, 6)
     inside = set(basis.interior_indices(2))
-    for i, m in enumerate(basis.patterns):
-        assert (i in inside) == (m.degree <= 4)
+    for i, (m12, m22, _) in enumerate(brute_force_labels(6)):
+        assert (i in inside) == (m12 + m22 <= 4)
 
 
 def test_vector_arithmetic():
     basis = enumerate_basis(P_DEFAULT, 2)
-    u = FockVector.unit(basis, GZPattern(0, 0, 0))
-    v = FockVector.unit(basis, GZPattern(1, 1, 1))
+    u = unit(basis, 0, 0, 0)
+    v = unit(basis, 1, 1, 1)
     vidx = basis.find(1, 1, 1)
     w = (2.0 + 1.0j) * u + v - 0.5 * v
     assert w.coefficients[0] == 2.0 + 1.0j
@@ -117,8 +141,8 @@ def test_vector_arithmetic():
 
 def test_inner_is_conjugate_linear_in_the_bra():
     basis = enumerate_basis(P_DEFAULT, 1)
-    u = (1.0 + 2.0j) * FockVector.unit(basis, GZPattern(1, 0, 0))
-    v = (3.0 - 1.0j) * FockVector.unit(basis, GZPattern(1, 0, 0))
+    u = (1.0 + 2.0j) * unit(basis, 1, 0, 0)
+    v = (3.0 - 1.0j) * unit(basis, 1, 0, 0)
     got = u.inner(v)
     assert abs(got - np.conj(1.0 + 2.0j) * (3.0 - 1.0j)) < WEIGHT_TOL
 
@@ -127,14 +151,14 @@ def test_inner_rejects_mismatched_bases():
     a = enumerate_basis(P_DEFAULT, 1)
     b = enumerate_basis(P_DEFAULT, 2)
     with pytest.raises(ValueError):
-        FockVector.unit(a, GZPattern(0, 0, 0)).inner(FockVector.unit(b, GZPattern(0, 0, 0)))
+        unit(a, 0, 0, 0).inner(unit(b, 0, 0, 0))
 
 
 def _vacuum_pair(p_other):
     """Vacuum unit vectors on two bases of equal size, the second at p_other."""
     a = enumerate_basis(P_DEFAULT, 2)
     b = enumerate_basis(p_other, 2)
-    return FockVector.unit(a, GZPattern(0, 0, 0)), FockVector.unit(b, GZPattern(0, 0, 0))
+    return unit(a, 0, 0, 0), unit(b, 0, 0, 0)
 
 
 def test_inner_rejects_a_basis_with_another_p():
@@ -164,9 +188,9 @@ def test_sub_rejects_a_basis_with_another_p():
 def test_label_arrays_and_find():
     for cutoff in (0, 1, 3, 8):
         basis = enumerate_basis(P_DEFAULT, cutoff)
-        for i, m in enumerate(basis.patterns):
-            assert (basis.m12[i], basis.m22[i], basis.m11[i]) == (m.m12, m.m22, m.m11)
-        index = {(m.m12, m.m22, m.m11): i for i, m in enumerate(basis.patterns)}
+        expected = brute_force_labels(cutoff)
+        assert labels_of(basis) == expected
+        index = {labels: i for i, labels in enumerate(expected)}
         # labels from -2 to cutoff + 2; betweenness violated, past the cutoff or
         # negative gives -1
         labels = range(-2, cutoff + 3)

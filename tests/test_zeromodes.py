@@ -97,8 +97,7 @@ def test_annihilation_and_weight_support():
         assert abs(vec.norm() - 1.0) <= RESIDUAL_TOL
         assert b1m.apply(vec).norm() <= RESIDUAL_TOL
         for idx in np.nonzero(vec.coefficients)[0]:
-            m = basis.patterns[idx]
-            assert m.m11 == j and m.degree == k + j
+            assert basis.m11[idx] == j and basis.degree[idx] == k + j
 
 
 def test_zeromodes_report_at_cutoff_200_builds_no_whole_generator(monkeypatch):
