@@ -395,8 +395,8 @@ class _Slots:
 
 
 def _blocks(count: int) -> list[tuple[int, int]]:
-    """Columns 0 .. count - 1 as (c0, c1) ranges of at most _BLOCK_COLUMNS; one empty range for none."""
-    return [(c0, min(c0 + _BLOCK_COLUMNS, count)) for c0 in range(0, max(count, 1), _BLOCK_COLUMNS)]
+    """Columns 0 .. count - 1 as (c0, c1) ranges of at most _BLOCK_COLUMNS."""
+    return [(c0, min(c0 + _BLOCK_COLUMNS, count)) for c0 in range(0, count, _BLOCK_COLUMNS)]
 
 
 def _entries(a: _Coded, c0: int, c1: int, scale: float = 1.0):

@@ -45,7 +45,6 @@ class CoherentState:
     alpha: complex
     coeffs: np.ndarray
     tail_bound: float
-    normalized: bool
 
     @property
     def nmax(self) -> int:
@@ -110,10 +109,7 @@ def build_coherent(
         scale = math.sqrt(coherent_norm(p, j, alpha))
         arr = arr / scale
         tail = tail / scale
-    return CoherentState(
-        p=float(p), j=int(j), k=int(k), alpha=alpha, coeffs=arr,
-        tail_bound=tail, normalized=normalized,
-    )
+    return CoherentState(p=float(p), j=int(j), k=int(k), alpha=alpha, coeffs=arr, tail_bound=tail)
 
 
 def coherent_norm(p: float, j: int, alpha: complex) -> float:
@@ -175,7 +171,7 @@ def cat_state(s: CoherentState, sign: str) -> CoherentState:
         raise ValueError(f"cat state with sign {sign!r} vanishes at alpha = {s.alpha}")
     return CoherentState(
         p=s.p, j=s.j, k=s.k, alpha=s.alpha,
-        coeffs=proj / nrm, tail_bound=s.tail_bound / nrm, normalized=True,
+        coeffs=proj / nrm, tail_bound=s.tail_bound / nrm,
     )
 
 
@@ -302,11 +298,6 @@ class BicoherentState:
     truncated state norm and are exact restatements of the two clipped tops.
     """
 
-    p: float
-    j: int
-    l: int
-    alpha: complex
-    beta: complex
     kmax: int
     ladder_coeffs: np.ndarray
     prefactors: np.ndarray
@@ -351,8 +342,7 @@ def bicoherent(
     residual_b1 = abs(complex(alpha)) * abs(a[-1]) / a_norm
     residual_b2sq = abs(beta) * abs(prefactors[-1]) / pref_norm
     return BicoherentState(
-        p=float(p), j=int(j), l=int(l), alpha=complex(alpha), beta=beta, kmax=int(kmax),
-        ladder_coeffs=a, prefactors=prefactors,
+        kmax=int(kmax), ladder_coeffs=a, prefactors=prefactors,
         eigen_residual_b1=residual_b1, eigen_residual_b2sq=residual_b2sq,
         ladder_tail_bound=base.tail_bound,
     )

@@ -135,8 +135,11 @@ class FockBasis:
 
         Applying ``margin`` raising generators to such a state cannot reach
         the truncation shell, so operator identities built from at most
-        ``margin`` generator factors hold exactly on these columns.
+        ``margin`` generator factors hold exactly on these columns.  A cutoff
+        below ``margin`` leaves none, and a check on none would pass vacuously.
         """
+        if self.cutoff < margin:
+            raise ValueError(f"cutoff {self.cutoff} < margin {margin} leaves no interior")
         return np.flatnonzero(self.degree <= self.cutoff - margin)
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:

@@ -193,10 +193,6 @@ def stieltjes_moment(
 
 @dataclass(frozen=True)
 class MomentReport:
-    kind: str
-    p: float
-    j: int
-    n: int
     quadrature: float
     closed_form: float
     rel_err: float
@@ -208,11 +204,7 @@ def stieltjes_moment_check(
     """Compare the quadrature moment against its gamma-product closed form."""
     quad = stieltjes_moment(kind, p, j, n, grid=grid)
     closed = stieltjes_closed_form(kind, p, j, n)
-    return MomentReport(
-        kind=kind, p=float(p), j=int(j), n=int(n),
-        quadrature=quad, closed_form=closed,
-        rel_err=abs(quad - closed) / abs(closed),
-    )
+    return MomentReport(quadrature=quad, closed_form=closed, rel_err=abs(quad - closed) / abs(closed))
 
 
 def diagonal_moment_form(
@@ -244,8 +236,6 @@ class ResolutionReport:
     nodes and records the positivity of the weight.
     """
 
-    p: float
-    j: int
     n_check: int
     mode: str
     tol: float
@@ -317,7 +307,7 @@ def resolution_identity_check(
 
     max_dev = float(np.abs(entries - np.eye(n_check + 1)).max())
     return ResolutionReport(
-        p=float(p), j=int(j), n_check=int(n_check), mode=mode, tol=float(tol),
+        n_check=int(n_check), mode=mode, tol=float(tol),
         entries=entries, max_abs_deviation=max_dev, measure_min=measure_min,
         node_count=grid.node_count, x_max=float(grid.x_max),
     )

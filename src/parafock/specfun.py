@@ -80,6 +80,7 @@ def hyp0f1(a: float, x: float | complex) -> SeriesResult:
     Terminates when the next term falls below 1e-17 of the accumulated sum in
     modulus; the reported tail bound is twice the modulus of the first omitted
     term.  The value is complex for complex x, except at x = 0 where it is 1.0.
+    A term or sum past the double range (a near 0) raises ValueError.
     """
     if not 0 < a < math.inf:
         raise ValueError(f"need a finite a > 0, got {a}")
@@ -88,15 +89,20 @@ def hyp0f1(a: float, x: float | complex) -> SeriesResult:
     total = 1.0
     term = 1.0
     k = 0
-    while True:
-        nxt = term * x / ((a + k) * (k + 1))
-        if abs(nxt) < _RELATIVE_STOP * abs(total):
-            return SeriesResult(total, k + 1, 2.0 * abs(nxt))
-        term = nxt
-        total += term
-        k += 1
-        if k > _MAX_TERMS:
-            raise RuntimeError("series failed to terminate")
+    try:
+        while True:
+            nxt = term * x / ((a + k) * (k + 1))
+            if abs(nxt) < _RELATIVE_STOP * abs(total) or nxt == 0:  # the stop underflows for a tiny total
+                return SeriesResult(total, k + 1, 2.0 * abs(nxt))
+            term = nxt
+            total += term
+            k += 1
+            if not abs(total) < math.inf:  # inf or nan; abs of a complex past the range raises itself
+                raise OverflowError
+            if k > _MAX_TERMS:
+                raise RuntimeError("series failed to terminate")
+    except OverflowError:
+        raise ValueError(f"0F1(; {a}; {x}) is outside the double range") from None
 
 
 def _log_i_lead(nu: float, log_half):

@@ -116,7 +116,10 @@ def ladder_normalization(p: float, j: int, n: int) -> float:
         + math.lgamma(nu + half_up)
         - math.lgamma(nu)
     )
-    return math.exp(0.5 * log_sq)
+    try:
+        return math.exp(0.5 * log_sq)
+    except OverflowError:
+        raise ValueError(f"the ladder norm at p = {p}, j = {j}, n = {n} is outside the double range") from None
 
 
 def ladder_family(basis: FockBasis, j: int, k: int, nmax: int) -> list[FockVector]:

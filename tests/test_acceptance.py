@@ -130,6 +130,12 @@ RUN_ALL = {
 }
 
 
+def test_run_all_refuses_a_cutoff_with_no_relation_interior():
+    # at cutoff 2 no column is three steps below the shell, so no triple relation could be evaluated
+    with pytest.raises(ValueError, match="no interior"):
+        verify.run_all(cutoff=2)
+
+
 def test_run_all_deviations_and_parts_are_pinned():
     results = verify.run_all()
     assert [r.name for r in results] == list(RUN_ALL)

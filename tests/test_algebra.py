@@ -110,6 +110,19 @@ def test_triple_relations_report():
     assert report.max_deviation <= RELATION_TOL
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 2])
+def test_relation_checks_refuse_an_empty_interior(cutoff):
+    # the triple check needs degree <= cutoff - 3 and the pair check degree <= cutoff - 2
+    basis = enumerate_basis(P_TEST, cutoff)
+    with pytest.raises(ValueError, match="no interior"):
+        verify_triple_relations(basis)
+    if cutoff < 2:
+        with pytest.raises(ValueError, match="no interior"):
+            pair_anticommutator_deviation(basis)
+    else:
+        assert pair_anticommutator_deviation(basis) <= RELATION_TOL
+
+
 def test_triple_relations_match_the_full_evaluation():
     # reference: all 16 ordered anticommutators and full commutators, cut to the interior afterwards;
     # at cutoff 3 the interior is the vacuum alone

@@ -243,6 +243,27 @@ def test_validation_windows():
 
 
 @pytest.mark.parametrize(
+    "a, x",
+    [
+        (1e-300, 649.0),  # the sum overflows to inf
+        (1.7214057e-316, -0.015447166544343062),  # the first term x / a overflows
+        (1e-300, -649.0),  # the alternating sum reaches inf - inf
+        (2.57e-306, 459 + 459j),  # both parts stay finite, but the modulus of the sum does not
+    ],
+)
+def test_hyp0f1_refuses_a_value_past_the_double_range(a, x):
+    with pytest.raises(ValueError, match="outside the double range"):
+        hyp0f1(a, x)
+
+
+def test_hyp0f1_stops_where_its_relative_stop_underflows():
+    # 1 + x / a cancels to 0, and 1e-17 of the sum that is left, 5e-308, rounds to 0
+    result = hyp0f1(1e-307, -1e-307)
+    assert result.value == pytest.approx(float(mp.hyp0f1(mp.mpf(1e-307), mp.mpf(-1e-307))), rel=1e-15)
+    assert result.terms_used == 3 and result.tail_bound == 0.0
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: besselk_values(math.nan, [1.0, 2.0]),

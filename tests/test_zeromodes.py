@@ -198,6 +198,13 @@ def test_ladder_step_and_normalization():
         assert ladder_normalization(p, j, 2 * m + 1) == pytest.approx(math.sqrt(odd_sq), rel=1e-13)
 
 
+@pytest.mark.parametrize("p, j, n", [(2.5, 0, 301), (2.5, 0, 10**6), (65.99, 50, 301)])
+def test_ladder_normalization_refuses_a_norm_past_the_double_range(p, j, n):
+    assert math.isfinite(ladder_normalization(2.5, 0, 300))
+    with pytest.raises(ValueError, match="outside the double range"):
+        ladder_normalization(p, j, n)
+
+
 def test_ladder_raising_action():
     # b1+ |zeta;n> = sqrt((p+2j) E_n + n + O_n) |zeta;n+1>
     p = 3.0
