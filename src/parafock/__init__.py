@@ -42,8 +42,6 @@ from .coherent import (
 from .fockspace import (
     FockBasis,
     FockVector,
-    GZPattern,
-    Weight,
     enumerate_basis,
     even_ind,
     odd_ind,

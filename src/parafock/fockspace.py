@@ -7,13 +7,12 @@ generators; raising generators can leave the set only through the m12 = cutoff
 shell.
 
 The basis is three integer label arrays plus a row-start table that only
-``FockBasis.find`` reads; ``GZPattern`` is taken only by ``weight_of``.
+``FockBasis.find`` reads; no type holds a single pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,43 +53,17 @@ def odd_ind(n):
     return n % 2
 
 
-class Weight(NamedTuple):
-    """Joint eigenvalue of the two Cartan generators (h1, h2)."""
-
-    w1: float
-    w2: float
-
-
-@dataclass(frozen=True)
-class GZPattern:
-    """Pattern (m12, m22; m11) with m12 >= m11 >= m22 >= 0."""
-
-    m12: int
-    m22: int
-    m11: int
-
-    def __post_init__(self) -> None:
-        _require_integers(m12=self.m12, m22=self.m22, m11=self.m11)
-        if not (self.m12 >= self.m11 >= self.m22 >= 0):
-            raise ValueError(
-                f"betweenness violated: need m12 >= m11 >= m22 >= 0, "
-                f"got ({self.m12}, {self.m22}; {self.m11})"
-            )
-
-    @property
-    def degree(self) -> int:
-        """Total excitation m12 + m22; each raising step increases it by 1."""
-        return self.m12 + self.m22
-
-
 def cartan_weights(p: float, m12, m22, m11):
     """Cartan weights (w1, w2) of scalar or array labels, each summed left to right."""
     return p / 2.0 + m11, p / 2.0 + m12 + m22 - m11
 
 
-def weight_of(m: GZPattern, p: float) -> Weight:
-    """Cartan weight of the basis state labelled by ``m`` at parameter ``p``."""
-    return Weight(*cartan_weights(p, m.m12, m.m22, m.m11))
+def weight_of(m12: int, m22: int, m11: int, p: float) -> tuple[float, float]:
+    """``cartan_weights`` of one pattern (m12, m22; m11), with its labels checked."""
+    _require_integers(m12=m12, m22=m22, m11=m11)
+    if not m12 >= m11 >= m22 >= 0:
+        raise ValueError(f"betweenness violated: need m12 >= m11 >= m22 >= 0, got ({m12}, {m22}; {m11})")
+    return cartan_weights(p, m12, m22, m11)
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,10 +92,10 @@ def ladder_step(p: float, j: int, n: int) -> float:
 
     The same value is the lowering coefficient from rung n + 1 back to n,
     so a single definition keeps the two directions exactly inverse at the
-    floating-point level.
+    floating-point level.  Plain comparisons check the labels: this runs once per rung.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if n < 0 or j < 0 or j % 1 or not 1 < p <= P_MAX:
+        raise ValueError(f"need 1 < p <= {P_MAX:g}, integer j >= 0 and n >= 0, got p = {p}, j = {j}, n = {n}")
     return math.sqrt(n + p + 2 * j) if n % 2 == 0 else math.sqrt(n + 1.0)
 
 
@@ -105,6 +105,7 @@ def ladder_normalization(p: float, j: int, n: int) -> float:
     Equals sqrt(2^n ((n - O_n)/2)! (p/2 + j)_((n + O_n)/2)), evaluated
     through log-gamma differences.
     """
+    _validate_family(j, j, p)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     half_down = (n - odd_ind(n)) // 2

@@ -124,6 +124,9 @@ def test_bessel_value_and_validation():
     assert bad.returncode == 2
     zero_x = run_cli("bessel", "--kind", "k", "--nu", "0.5", "--x", "0")
     assert zero_x.returncode == 2
+    diverges = run_cli("bessel", "--kind", "i", "--nu", "-0.5", "--x", "0")
+    assert diverges.returncode == 2
+    assert "diverges" in diverges.stderr
     # K_59.9(1e-300) exceeds the double range: a usage error, not inf with exit 0
     overflow = run_cli("bessel", "--kind", "k", "--nu", "59.9", "--x", "1e-300")
     assert overflow.returncode == 2

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from parafock import (
     FockVector,
-    GZPattern,
     enumerate_basis,
     even_ind,
     odd_ind,
@@ -22,7 +21,6 @@ from parafock import (
     resolution_identity_check,
     stieltjes_closed_form,
     stieltjes_moment,
-    verify,
     weight_of,
     zero_mode_coeffs,
 )
@@ -72,10 +70,12 @@ def test_enumeration_small_patterns():
 
 
 def test_weight_examples():
-    w = weight_of(GZPattern(1, 0, 1), 3.0)
-    assert (w.w1, w.w2) == (2.5, 1.5)
-    w = weight_of(GZPattern(2, 1, 1), 2.0)
-    assert (w.w1, w.w2) == (2.0, 3.0)
+    assert weight_of(1, 0, 1, 3.0) == (2.5, 1.5)
+    assert weight_of(2, 1, 1, 2.0) == (2.0, 3.0)
+    basis = enumerate_basis(P_DEFAULT, 4)
+    w1, w2 = basis.weights()
+    for i, labels in enumerate(labels_of(basis)):
+        assert weight_of(*labels, P_DEFAULT) == (w1[i], w2[i])
 
 
 def test_ordering_is_by_degree_then_m12_then_m11():
@@ -92,12 +92,12 @@ def test_index_roundtrip():
 
 
 def test_betweenness_validation():
-    with pytest.raises(ValueError):
-        GZPattern(1, 2, 1)
-    with pytest.raises(ValueError):
-        GZPattern(2, 0, 3)
-    with pytest.raises(ValueError):
-        GZPattern(-1, 0, 0)
+    with pytest.raises(ValueError, match="betweenness"):
+        weight_of(1, 2, 1, P_DEFAULT)
+    with pytest.raises(ValueError, match="betweenness"):
+        weight_of(2, 0, 3, P_DEFAULT)
+    with pytest.raises(ValueError, match="betweenness"):
+        weight_of(-1, 0, 0, P_DEFAULT)
 
 
 def test_weight_multiplicity_is_min_rule():
@@ -221,23 +221,6 @@ def test_enumeration_peak_stays_near_the_label_arrays():
     assert peak < 1.5 * labels, (peak, labels)
 
 
-def test_verify_battery_builds_no_pattern_objects(monkeypatch):
-    built = []
-    original = GZPattern.__post_init__
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(GZPattern, "__post_init__", counting)
-    GZPattern(0, 0, 0)
-    assert len(built) == 1
-    built.clear()
-    results = verify.run_all()
-    assert all(r.passed for r in results)
-    assert built == []
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     m12=st.integers(min_value=0, max_value=30),
@@ -250,13 +233,12 @@ def test_weight_sum_equals_p_plus_degree(m12, d22, d11, pnum):
     p = pnum / 10.0
     m22 = max(m12 - d22, 0)
     m11 = min(m22 + d11, m12)
-    m = GZPattern(m12, m22, m11)
-    w = weight_of(m, p)
-    assert abs((w.w1 + w.w2) - (p + m.degree)) < 1e-12
+    w1, w2 = weight_of(m12, m22, m11, p)
+    assert abs((w1 + w2) - (p + m12 + m22)) < 1e-12
 
 
 @pytest.mark.parametrize("call", [
-    lambda: GZPattern(True, 0, 0),
+    lambda: weight_of(True, 0, 0, P_DEFAULT),
     lambda: enumerate_basis(P_DEFAULT, True),
     lambda: zero_mode_coeffs(True, 1, P_DEFAULT),
     lambda: kernel_oracle(enumerate_basis(P_DEFAULT, 4), 0, True),
@@ -266,7 +248,7 @@ def test_weight_sum_equals_p_plus_degree(m12, d22, d11, pnum):
     lambda: stieltjes_moment("I", P_DEFAULT, 0, True),
     lambda: resolution_identity_check(P_DEFAULT, 0, True),
     lambda: b2_element(P_DEFAULT, True, 0.3, 1, 2, 0.5),
-], ids=["GZPattern", "enumerate_basis", "zero_mode_coeffs", "kernel_oracle", "measure",
+], ids=["weight_of", "enumerate_basis", "zero_mode_coeffs", "kernel_oracle", "measure",
         "radial_grid", "stieltjes_closed_form", "stieltjes_moment", "resolution_identity_check",
         "b2_element-jp"])
 def test_bools_are_not_integer_labels(call):

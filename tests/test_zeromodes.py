@@ -205,6 +205,16 @@ def test_ladder_normalization_refuses_a_norm_past_the_double_range(p, j, n):
         ladder_normalization(p, j, n)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: ladder_normalization(-5, 0, 2), ValueError),  # its squared closed form is -10
+    (lambda: ladder_normalization(2.5, 1.5, 2), TypeError),
+    (lambda: ladder_step(0.5, 0, 3), ValueError),
+], ids=["normalization-p", "normalization-j", "step-p"])
+def test_ladder_forms_refuse_inputs_outside_the_envelope(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_ladder_raising_action():
     # b1+ |zeta;n> = sqrt((p+2j) E_n + n + O_n) |zeta;n+1>
     p = 3.0
