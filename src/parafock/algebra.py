@@ -10,15 +10,14 @@ skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
 operator arrays are read-only.  The adjoint and pair checks are their
 identities in ``SparseOperator`` arithmetic; the triple check builds only its
-anticommutators, with ``bracket``, and adds the other product terms on
-label-shift slots (``_Slots``), with the bits that arithmetic would give.
+anticommutators, with ``bracket``, and adds the other product terms on one
+value array per label shift (``_shifts``), with the bits that arithmetic would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -346,71 +345,68 @@ def bracket(a: SparseOperator, b: SparseOperator, kind: str, columns=None) -> Sp
     return ab + ba if kind == "anticommutator" else ab - ba
 
 
-# Columns per block of the triple check: one block's terms and slot sums stay at a few MB
-# whatever the cutoff, so only the anticommutator being read grows with the basis.
-_BLOCK_COLUMNS = 8192
-
-
-class _Coded(NamedTuple):
-    """An operator with the label-shift code of each entry and sorted codes that include them all."""
-
-    op: SparseOperator
-    codes: np.ndarray
-    present: np.ndarray
-
-
 def _labels(basis: FockBasis) -> np.ndarray:
     """One integer per pattern, linear in (degree, m12, m11) and increasing in basis order."""
     radix = basis.cutoff + 1
     return (basis.degree * radix + basis.m12) * radix + basis.m11
 
 
-def _coded(labels: np.ndarray, op: SparseOperator) -> _Coded:
-    codes = labels[op.rows] - labels[op.cols]
-    return _Coded(op, codes, _distinct(codes))
+def _shifts(labels: np.ndarray, op: SparseOperator) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The operator as (code, row, value) per label shift, in ascending code.
 
-
-class _Slots:
-    """The positions of columns c0 .. c1 - 1 numbered by label shift, so summing needs no sort.
-
-    An entry (row, col) shifts the labels of col to those of row; its code labels[row] -
-    labels[col] is linear in the shift, so a product term's code is the sum of its factors'
-    codes.  Numbering the codes 0 .. n - 1 in ascending order, which is ascending row order
-    within a column, makes ``(col - c0) * n + number`` one slot per position, in (col, row)
-    order.  ``sums`` adds each slot's terms from 0 in array order, as the stable sort of
-    ``SparseOperator._accumulate`` does.
+    An entry (row, col) has the code labels[row] - labels[col], so a column holds at most one
+    entry per code, and ascending code is ascending row.  ``row`` and ``value`` are indexed by
+    column, with a sentinel at ``dim`` (row dim, value 0): a gather through a missing entry reads 0.
     """
-
-    def __init__(self, *codes: np.ndarray):
-        self.codes = _distinct(np.concatenate(codes))
-        self.n = len(self.codes)
-        self.low = self.codes[0] if self.n else 0
-        self.number = np.zeros(self.codes[-1] - self.low + 1 if self.n else 0, dtype=np.intp)
-        self.number[self.codes - self.low] = np.arange(self.n)
-
-    def sums(self, c0: int, c1: int, *terms) -> np.ndarray:
-        """Each slot's sum of the (cols, codes, values) ``terms``, taken in the order given."""
-        cols, codes, vals = terms[0] if len(terms) == 1 else (np.concatenate(x) for x in zip(*terms))
-        return _sum_by((cols - c0) * self.n + self.number[codes - self.low], vals, (c1 - c0) * self.n)
+    codes = labels[op.rows] - labels[op.cols]
+    present = _distinct(codes)
+    number = present.searchsorted(codes)
+    row = np.full((len(present), op.dim + 1), op.dim, dtype=np.int32)
+    value = np.zeros((len(present), op.dim + 1), dtype=op.vals.dtype)
+    row[number, op.cols] = op.rows
+    value[number, op.cols] = op.vals
+    return list(zip(present.tolist(), row, value))
 
 
-def _blocks(count: int) -> list[tuple[int, int]]:
-    """Columns 0 .. count - 1 as (c0, c1) ranges of at most _BLOCK_COLUMNS."""
-    return [(c0, min(c0 + _BLOCK_COLUMNS, count)) for c0 in range(0, count, _BLOCK_COLUMNS)]
+def _shift_product(a, b, count: int) -> dict[int, np.ndarray]:
+    """{code: values} of a @ b on columns 0 .. count - 1, from the ``_shifts`` of a and b.
+
+    Each position adds its terms in the order ``SparseOperator.__matmul__`` lists them (b's
+    entries by row, then a's), so a product term's code being the sum of its factors' codes
+    gives the bits of the operator product; a missing term adds the sentinel's 0.
+    """
+    sums = {}
+    for code_b, row_b, value_b in b:
+        row_b, value_b = row_b[:count], value_b[:count]
+        for code_a, _, value_a in a:
+            term = value_a.take(row_b) * value_b
+            code = code_a + code_b
+            if code in sums:
+                sums[code] += term
+            else:
+                sums[code] = term
+    return sums
 
 
-def _entries(a: _Coded, c0: int, c1: int, scale: float = 1.0):
-    """(cols, codes, values) of the entries in columns c0 .. c1 - 1, values times ``scale``."""
-    lo, hi = a.op._column_starts()[[c0, c1]]
-    return a.op.cols[lo:hi], a.codes[lo:hi], scale * a.op.vals[lo:hi]
+def _commutator_deviation(anti, gen, rhs, count: int) -> float:
+    """Largest |X - Y - R| on columns 0 .. count - 1, from ``_shifts``.
 
-
-def _product(a: _Coded, b: _Coded, c0: int, c1: int):
-    """(cols, codes, values) of the terms of a @ b in columns c0 .. c1 - 1, in product order."""
-    lo, hi = b.op._column_starts()[[c0, c1]]
-    left, right = a.op._pairs(b.op.rows[lo:hi])
-    right += lo
-    return b.op.cols[right], a.codes[left] + b.codes[right], a.op.vals[left] * b.op.vals[right]
+    X = anti @ gen and Y = gen @ anti come from ``_shift_product``, and R sums scale * value
+    over the (shifts, scale) pairs of ``rhs`` in that order.
+    """
+    right = {}
+    for shifts, scale in rhs:
+        for code, _, value in shifts:
+            term = scale * value[:count]
+            right[code] = right[code] + term if code in right else term
+    sums = _shift_product(anti, gen, count)
+    for part in (_shift_product(gen, anti, count), right):
+        for code, value in part.items():
+            sums[code] = sums[code] - value if code in sums else -value
+    dev = 0.0
+    for value in sums.values():
+        dev = np.maximum(dev, np.abs(value).max())  # NaN once any value is NaN
+    return float(dev)
 
 
 @dataclass(frozen=True)
@@ -451,32 +447,27 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     in the operator arithmetic, without building it.
     """
     labels = _labels(basis)
-    gens = {
-        (mode, sign): _coded(labels, build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}"))
+    ops = {
+        (mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
         for mode in (1, 2)
         for sign in (-1, 1)
     }
+    gens = {key: _shifts(labels, op) for key, op in ops.items()}
     # the basis is ordered by degree, so each interior is a leading run of columns
     inner, reach = len(basis.interior_indices(3)), len(basis.interior_indices(2))
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        # ten per basis, against 80 slot products for the relations, so their sorts are a small share
-        anti = _coded(labels, bracket(gens[(j, xi)].op, gens[(k, eta)].op, "anticommutator", np.arange(reach)))
+        anti = _shifts(labels, bracket(ops[(j, xi)], ops[(k, eta)], "anticommutator", np.arange(reach)))
         for (l, eps), gen in gens.items():
             rhs = []
             if l == j and eps != xi:
                 rhs.append((gens[(k, eta)], float(eps - xi)))
             if l == k and eps != eta:
                 rhs.append((gens[(j, xi)], float(eps - eta)))
-            slots = _Slots(np.add.outer(anti.present, gen.present).ravel(), *(g.present for g, _ in rhs))
-            dev = 0.0
-            for c0, c1 in _blocks(inner):
-                sums = slots.sums(c0, c1, _product(anti, gen, c0, c1))
-                sums -= slots.sums(c0, c1, _product(gen, anti, c0, c1))
-                if rhs:
-                    sums -= slots.sums(c0, c1, *(_entries(g, c0, c1, scale) for g, scale in rhs))
-                dev = np.maximum(dev, np.abs(sums).max(initial=0.0))  # NaN once any value is NaN
-            deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = float(dev)
+            deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = (
+                _commutator_deviation(anti, gen, rhs, inner)
+            )
+        del anti  # so the next bracket, which sets the peak memory, runs without it
     results = [
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])
         for (j, xi), (k, eta), (l, eps) in product(gens.keys(), repeat=3)

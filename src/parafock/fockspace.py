@@ -59,10 +59,12 @@ def cartan_weights(p: float, m12, m22, m11):
 
 
 def weight_of(m12: int, m22: int, m11: int, p: float) -> tuple[float, float]:
-    """``cartan_weights`` of one pattern (m12, m22; m11), with its labels checked."""
+    """``cartan_weights`` of one pattern (m12, m22; m11), with its labels and p checked."""
     _require_integers(m12=m12, m22=m22, m11=m11)
     if not m12 >= m11 >= m22 >= 0:
         raise ValueError(f"betweenness violated: need m12 >= m11 >= m22 >= 0, got ({m12}, {m22}; {m11})")
+    if not 1 < p <= P_MAX:
+        raise ValueError(f"representation parameter must satisfy 1 < p <= {P_MAX:g}, got {p}")
     return cartan_weights(p, m12, m22, m11)
 
 

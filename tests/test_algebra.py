@@ -152,17 +152,17 @@ def test_triple_relations_read_no_column_past_the_second_last_shell(monkeypatch)
     from parafock import algebra
 
     degrees = []
-    product_terms, matmul = algebra._product, SparseOperator.__matmul__
+    shift_product, matmul = algebra._shift_product, SparseOperator.__matmul__
 
-    def recording_terms(a, b, c0, c1):
-        degrees.append(basis.degree[c0:c1])
-        return product_terms(a, b, c0, c1)
+    def recording_terms(a, b, count):
+        degrees.append(basis.degree[:count])
+        return shift_product(a, b, count)
 
     def recording_product(self, other):
         degrees.append(basis.degree[other.cols])
         return matmul(self, other)
 
-    monkeypatch.setattr(algebra, "_product", recording_terms)
+    monkeypatch.setattr(algebra, "_shift_product", recording_terms)
     monkeypatch.setattr(SparseOperator, "__matmul__", recording_product)
     for cutoff in (3, 6):
         basis = enumerate_basis(P_TEST, cutoff)
@@ -175,21 +175,21 @@ def test_triple_relations_take_100_products(monkeypatch):
     from parafock import algebra
 
     calls = Counter()
-    product_terms, matmul = algebra._product, SparseOperator.__matmul__
+    shift_product, matmul = algebra._shift_product, SparseOperator.__matmul__
 
     def counting_terms(*args):
-        calls["slots"] += 1
-        return product_terms(*args)
+        calls["shifts"] += 1
+        return shift_product(*args)
 
     def counting_product(self, other):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    monkeypatch.setattr(algebra, "_product", counting_terms)
+    monkeypatch.setattr(algebra, "_shift_product", counting_terms)
     monkeypatch.setattr(SparseOperator, "__matmul__", counting_product)
     verify_triple_relations(enumerate_basis(P_TEST, 6))
-    # 10 anticommutators of two operator products each, then 4 commutators of two slot products per pair
-    assert dict(calls) == {"matmul": 20, "slots": 80}
+    # 10 anticommutators of two operator products each, then 4 commutators of two shift products per pair
+    assert dict(calls) == {"matmul": 20, "shifts": 80}
 
 
 def test_relation_checks_build_only_the_anticommutators(monkeypatch):
@@ -265,6 +265,24 @@ def test_adjoint_and_pair_deviations_are_pinned_at_the_envelope_edge(p, pair):
     basis = enumerate_basis(p, 64)
     assert adjointness_deviation(basis).hex() == "0x0.0p+0"
     assert pair_anticommutator_deviation(basis).hex() == pair
+
+
+@pytest.mark.parametrize("p, cutoff, worst, digest", [
+    (2.5, 40, "0x1.7c00000000000p-42", "2d7f263af83e9c135d5d846bcf7bba972fa573a91379dc3fcfec78b0c5ffb8e0"),
+    (2.5, 64, "0x1.5600000000000p-41", "8d4950e42932a8a863e67d7797ce6e40136a4068fc9ed7acb3de76e9704a4a2c"),
+    (120.0, 40, "0x1.ac00000000000p-40", "1a15028307935a461975a02f694727be74cee64d254d820b6ebcb180a7c16c16"),
+    (120.0, 64, "0x1.0f80000000000p-39", "0cde94a7ddde60508e821998f29cd007f2e05109265a3c76199595f5eddcbf04"),
+])
+def test_triple_deviations_are_pinned_at_cutoffs_40_and_64(p, cutoff, worst, digest):
+    # the sha256 of the 64 deviations' float hex, space-separated in report order, as the former
+    # kernel gave them; it summed the interior in blocks of 8192 columns, three at cutoff 64
+    # (21,328 columns)
+    import hashlib
+
+    report = verify_triple_relations(enumerate_basis(p, cutoff))
+    assert report.max_deviation.hex() == worst
+    hexes = " ".join(r.deviation.hex() for r in report.relations)
+    assert hashlib.sha256(hexes.encode()).hexdigest() == digest, hexes
 
 
 def test_adjoint_and_pair_checks_peak_below_the_triple_check():

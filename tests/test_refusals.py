@@ -16,6 +16,7 @@ from parafock import (
     ladder_normalization,
     ladder_step,
     t1_inverse_apply,
+    weight_of,
 )
 
 P = 2.5
@@ -46,10 +47,12 @@ def _vacuum_below_the_floor():
     (lambda: kernel_oracle(enumerate_basis(P, 3), 2, 2), "too small"),
     (lambda: ladder_step(P, 0, -1), "n >= 0"),
     (lambda: ladder_normalization(P, 0, -1), "n >= 0"),
+    (lambda: weight_of(1, 0, 1, -5.0), "1 < p <= 120"),  # returned (-1.5, -2.5)
+    (lambda: weight_of(1, 0, 1, float("nan")), "1 < p <= 120"),
 ], ids=["apply-shape", "matmul-dim", "add-dim", "generator-name", "bracket-kind",
         "t1-inverse-floor", "b2-oracle-target", "vector-shape", "bessel_i-at-0",
         "besselk_values-2d", "besseli_values-point", "kernel_oracle-cutoff",
-        "ladder_step-n", "ladder_normalization-n"])
+        "ladder_step-n", "ladder_normalization-n", "weight_of-p", "weight_of-nan"])
 def test_library_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -209,7 +209,12 @@ def test_ladder_normalization_refuses_a_norm_past_the_double_range(p, j, n):
     (lambda: ladder_normalization(-5, 0, 2), ValueError),  # its squared closed form is -10
     (lambda: ladder_normalization(2.5, 1.5, 2), TypeError),
     (lambda: ladder_step(0.5, 0, 3), ValueError),
-], ids=["normalization-p", "normalization-j", "step-p"])
+    (lambda: ladder_normalization(2.5, 0, 0.5), TypeError),  # returned 1.189
+    (lambda: ladder_step(2.5, 0, 1.5), ValueError),  # returned 1.581
+    (lambda: ladder_normalization(2.5, 0, True), TypeError),  # read as n = 1
+    (lambda: ladder_step(2.5, 0, True), ValueError),
+], ids=["normalization-p", "normalization-j", "step-p", "normalization-n-half", "step-n-half",
+        "normalization-n-bool", "step-n-bool"])
 def test_ladder_forms_refuse_inputs_outside_the_envelope(call, error):
     with pytest.raises(error):
         call()
