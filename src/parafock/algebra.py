@@ -10,8 +10,8 @@ skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
 operator arrays are read-only.  The adjoint and pair checks are their
 identities in ``SparseOperator`` arithmetic; the triple check builds only its
-anticommutators, with ``bracket``, and adds the other product terms on one
-value array per label shift (``_shifts``), with the bits that arithmetic would give.
+anticommutators, each generator product once, and adds the other product terms
+on one value array per label shift (``_shifts``), with the bits arithmetic gives.
 """
 
 from __future__ import annotations
@@ -351,12 +351,12 @@ def _labels(basis: FockBasis) -> np.ndarray:
     return (basis.degree * radix + basis.m12) * radix + basis.m11
 
 
-def _shifts(labels: np.ndarray, op: SparseOperator) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The operator as (code, row, value) per label shift, in ascending code.
+def _shifts(labels: np.ndarray, op: SparseOperator) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The operator as (codes, row, value), one label shift per code, in ascending code.
 
     An entry (row, col) has the code labels[row] - labels[col], so a column holds at most one
-    entry per code, and ascending code is ascending row.  ``row`` and ``value`` are indexed by
-    column, with a sentinel at ``dim`` (row dim, value 0): a gather through a missing entry reads 0.
+    entry per code, and ascending code is ascending row.  Row i of ``row`` and ``value`` is code i
+    by column, with a sentinel at ``dim`` (row dim, value 0): a gather through a gap reads 0.
     """
     codes = labels[op.rows] - labels[op.cols]
     present = _distinct(codes)
@@ -365,7 +365,7 @@ def _shifts(labels: np.ndarray, op: SparseOperator) -> list[tuple[int, np.ndarra
     value = np.zeros((len(present), op.dim + 1), dtype=op.vals.dtype)
     row[number, op.cols] = op.rows
     value[number, op.cols] = op.vals
-    return list(zip(present.tolist(), row, value))
+    return present.tolist(), row, value
 
 
 def _shift_product(a, b, count: int) -> dict[int, np.ndarray]:
@@ -373,13 +373,15 @@ def _shift_product(a, b, count: int) -> dict[int, np.ndarray]:
 
     Each position adds its terms in the order ``SparseOperator.__matmul__`` lists them (b's
     entries by row, then a's), so a product term's code being the sum of its factors' codes
-    gives the bits of the operator product; a missing term adds the sentinel's 0.
+    gives the bits of the operator product; a missing term adds the sentinel's 0.  One gather
+    per code of b forms the terms of every code of a at once.
     """
+    (codes_a, _, value_a), (codes_b, row_b, value_b) = a, b
     sums = {}
-    for code_b, row_b, value_b in b:
-        row_b, value_b = row_b[:count], value_b[:count]
-        for code_a, _, value_a in a:
-            term = value_a.take(row_b) * value_b
+    for code_b, row, value in zip(codes_b, row_b[:, :count], value_b[:, :count]):
+        terms = value_a.take(row, axis=1)
+        terms *= value
+        for code_a, term in zip(codes_a, terms):
             code = code_a + code_b
             if code in sums:
                 sums[code] += term
@@ -395,9 +397,8 @@ def _commutator_deviation(anti, gen, rhs, count: int) -> float:
     over the (shifts, scale) pairs of ``rhs`` in that order.
     """
     right = {}
-    for shifts, scale in rhs:
-        for code, _, value in shifts:
-            term = scale * value[:count]
+    for (codes, _, value), scale in rhs:
+        for code, term in zip(codes, scale * value[:, :count]):
             right[code] = right[code] + term if code in right else term
     sums = _shift_product(anti, gen, count)
     for part in (_shift_product(gen, anti, count), right):
@@ -441,10 +442,10 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     (j, xi) and (k, eta) changes only the order of two-term sums, which commute
     exactly, so each of the 10 unordered pairs is evaluated once for both orders.
 
-    The anticommutators are built with ``bracket``.  Each relation's deviation is the
-    largest |X - Y - R| per position, where X sums the terms of {.,.} b_l, Y those of
-    b_l {.,.} and R the right side, each from 0: the bits of (anti @ b_l - b_l @ anti) - rhs
-    in the operator arithmetic, without building it.
+    Each anticommutator has the bits of ``bracket`` there: A @ B_r + B @ A_r, B_r being the prefix
+    of B's arrays in those columns, or 2 (A @ A_r) for a square.  Each relation's deviation is the
+    largest |X - Y - R| per position, where X sums the terms of {.,.} b_l, Y those of b_l {.,.} and
+    R the right side, each from 0: the bits of (anti @ b_l - b_l @ anti) - rhs, without building it.
     """
     labels = _labels(basis)
     ops = {
@@ -453,11 +454,19 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
         for sign in (-1, 1)
     }
     gens = {key: _shifts(labels, op) for key, op in ops.items()}
-    # the basis is ordered by degree, so each interior is a leading run of columns
+    # the basis is ordered by degree, so each interior is a leading run of columns, and the
+    # entries of a generator there are a prefix of its arrays: the bits of on_columns, as views
     inner, reach = len(basis.interior_indices(3)), len(basis.interior_indices(2))
+    cut = {}
+    for key, op in ops.items():
+        m = op.cols.searchsorted(reach)
+        cut[key] = SparseOperator(op.dim, op.rows[:m], op.cols[:m], op.vals[:m])
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        anti = _shifts(labels, bracket(ops[(j, xi)], ops[(k, eta)], "anticommutator", np.arange(reach)))
+        a, b = ops[(j, xi)], ops[(k, eta)]
+        # a product s holds no zero, so a square's sum 0 + s + s is exactly 2 s, which is not 0
+        anti = 2.0 * (a @ cut[(j, xi)]) if a is b else a @ cut[(k, eta)] + b @ cut[(j, xi)]
+        anti = _shifts(labels, anti)
         for (l, eps), gen in gens.items():
             rhs = []
             if l == j and eps != xi:
@@ -467,7 +476,7 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
             deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = (
                 _commutator_deviation(anti, gen, rhs, inner)
             )
-        del anti  # so the next bracket, which sets the peak memory, runs without it
+        del anti  # so the next anticommutator, which sets the peak memory, runs without it
     results = [
         RelationDeviation(xi, eta, eps, j, k, l, deviations[(j, xi), (k, eta), (l, eps)])
         for (j, xi), (k, eta), (l, eps) in product(gens.keys(), repeat=3)

@@ -53,8 +53,8 @@ _EXIT_OK = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 
-# The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64
-# takes 0.25-0.4 s and 61 MiB and verify-all 2-4 s and 113 MiB; both grow as cutoff**3
+# The relation suites' envelope: on a 2-core machine verify-triple at cutoff 64 takes
+# 0.33-0.52 s and 59.4 MiB, verify-all 1.7-2.3 s and 111 MiB; both grow as cutoff**3
 # (cutoff 200 would take about 30 times the time and memory for each p).
 _RELATION_CUTOFF_MAX = 64
 

@@ -94,7 +94,7 @@ def ladder_step(p: float, j: int, n: int) -> float:
     so a single definition keeps the two directions exactly inverse at the
     floating-point level.  Plain comparisons check the labels: this runs once per rung.
     """
-    if n < 0 or n % 1 or type(n) is bool or j < 0 or j % 1 or not 1 < p <= P_MAX:
+    if n < 0 or n % 1 or type(n) is bool or j < 0 or j % 1 or type(j) is bool or not 1 < p <= P_MAX:
         raise ValueError(f"need 1 < p <= {P_MAX:g}, integers j >= 0 and n >= 0, got p = {p}, j = {j}, n = {n}")
     return math.sqrt(n + p + 2 * j) if n % 2 == 0 else math.sqrt(n + 1.0)
 

@@ -171,7 +171,7 @@ def test_triple_relations_read_no_column_past_the_second_last_shell(monkeypatch)
         assert max(d.max(initial=0) for d in degrees) == cutoff - 2
 
 
-def test_triple_relations_take_100_products(monkeypatch):
+def test_triple_relations_take_96_products(monkeypatch):
     from parafock import algebra
 
     calls = Counter()
@@ -188,8 +188,9 @@ def test_triple_relations_take_100_products(monkeypatch):
     monkeypatch.setattr(algebra, "_shift_product", counting_terms)
     monkeypatch.setattr(SparseOperator, "__matmul__", counting_product)
     verify_triple_relations(enumerate_basis(P_TEST, 6))
-    # 10 anticommutators of two operator products each, then 4 commutators of two shift products per pair
-    assert dict(calls) == {"matmul": 20, "shifts": 80}
+    # 6 mixed anticommutators of two operator products and 4 doubled squares of one each, then
+    # 4 commutators of two shift products per pair
+    assert dict(calls) == {"matmul": 16, "shifts": 80}
 
 
 def test_relation_checks_build_only_the_anticommutators(monkeypatch):
@@ -205,14 +206,39 @@ def test_relation_checks_build_only_the_anticommutators(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("operator arithmetic called")
 
-    for name in ("__matmul__", "__add__", "on_columns"):
+    for name in ("__matmul__", "__add__", "__rmul__", "on_columns"):
         monkeypatch.setattr(SparseOperator, name, counting(name, getattr(SparseOperator, name)))
-    for name in ("__sub__", "__mul__", "__rmul__", "adjoint", "max_abs"):
+    for name in ("__sub__", "__mul__", "adjoint", "max_abs"):
         monkeypatch.setattr(SparseOperator, name, refuse)
     basis = enumerate_basis(P_TEST, 8)
     assert verify_triple_relations(basis).passed
-    # each anticommutator: both right factors cut to the reach, two products and one sum
-    assert dict(calls) == {"on_columns": 20, "__matmul__": 20, "__add__": 10}
+    # the right factors are prefix views cut once, not on_columns copies; each mixed anticommutator
+    # is two products and one sum, each square {A, A} one product doubled
+    assert dict(calls) == {"__matmul__": 16, "__add__": 6, "__rmul__": 4}
+
+
+@pytest.mark.parametrize("cutoff", [3, 8, 24])
+def test_triple_anticommutators_match_the_bracket_bit_for_bit(monkeypatch, cutoff):
+    from parafock import algebra
+
+    seen = []
+    shifts = algebra._shifts
+
+    def recording(labels, op):
+        seen.append(op)
+        return shifts(labels, op)
+
+    monkeypatch.setattr(algebra, "_shifts", recording)
+    basis = enumerate_basis(P_TEST, cutoff)
+    verify_triple_relations(basis)
+    gens = [build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}") for mode in (1, 2) for sign in (-1, 1)]
+    reach = np.arange(len(basis.interior_indices(2)))
+    # the four generators come first, then the 10 anticommutators in pair order
+    assert seen[:4] == gens and len(seen) == 14
+    for (a, b), anti in zip(itertools.combinations_with_replacement(gens, 2), seen[4:], strict=True):
+        expected = bracket(a, b, "anticommutator", reach)
+        for name in ("rows", "cols", "vals"):
+            assert getattr(anti, name).tobytes() == getattr(expected, name).tobytes(), (cutoff, name)
 
 
 def test_triple_relations_subtract_each_right_side_as_one_sum(monkeypatch):

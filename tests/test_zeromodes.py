@@ -213,8 +213,9 @@ def test_ladder_normalization_refuses_a_norm_past_the_double_range(p, j, n):
     (lambda: ladder_step(2.5, 0, 1.5), ValueError),  # returned 1.581
     (lambda: ladder_normalization(2.5, 0, True), TypeError),  # read as n = 1
     (lambda: ladder_step(2.5, 0, True), ValueError),
+    (lambda: ladder_step(2.5, True, 0), ValueError),  # returned 2.1213
 ], ids=["normalization-p", "normalization-j", "step-p", "normalization-n-half", "step-n-half",
-        "normalization-n-bool", "step-n-bool"])
+        "normalization-n-bool", "step-n-bool", "step-j-bool"])
 def test_ladder_forms_refuse_inputs_outside_the_envelope(call, error):
     with pytest.raises(error):
         call()
