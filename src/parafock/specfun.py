@@ -18,9 +18,13 @@ run loads ``numpy.polynomial`` or calls LAPACK to build them, and no output depe
 on the LAPACK build.
 The integral reads its nodes, weights and cosh(t) - 1 as prefixes of one
 read-only table of half-unit panels, built on first use and grown to exactly
-the panels a bucket asks for, and takes log cosh(nu t) once per call.  The
-vectorized I series tests its stop every 8 terms, which returns the same
-bits as a test after every term.
+the panels a bucket asks for, and takes log cosh(nu t) once per call.  It
+groups a grid into magnitude buckets with one stable sort, each bucket's
+points in input order, and forms x (cosh t - 1) with ``einsum``, whose
+products are those of ``np.multiply.outer`` bit for bit.  The vectorized I
+series runs on its points in ascending x and tests its stop every 8 terms;
+points that have stopped leave from the front as a slice.  That returns the
+same bits as a test of every point after every term.
 
 Operating envelope: series arguments are validated to x <= 50, the vectorized
 I series to x <= 705; the integral representation has no such restriction.
@@ -33,8 +37,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fockspace import _distinct
 
 _RELATIVE_STOP = 1e-17
 _MAX_TERMS = 100000
@@ -177,10 +179,11 @@ def _besseli_series_mp(mu: float, x: float, digits: int):
     s = mpmath.mp.prec + 24 - mpmath.mag(term)
     t = total = int(mpmath.ldexp(term, s))
     (a, b), (c, e) = float(x).as_integer_ratio(), float(mu).as_integer_ratio()
+    aae, bb4 = a * a * e, 4 * b * b
     n = 0
     while True:
         n += 1
-        num, den = t * a * a * e, 4 * b * b * n * (c + n * e)  # term * (x/2)^2 / (n (mu + n))
+        num, den = t * aae, bb4 * n * (c + n * e)  # term * (x/2)^2 / (n (mu + n))
         t = abs(num) // abs(den) if (num < 0) == (den < 0) else -(abs(num) // abs(den))
         total += t
         if abs(t) * ten < abs(total):
@@ -203,6 +206,7 @@ def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
     with mpmath.workdps(digits):
         half = mpmath.mpf(x) / 2
         a, b = float(x).as_integer_ratio()
+        aa, bb4 = a * a, 4 * b * b
         # the finite sum sum_(n<order) (-1)^n (order-n-1)!/n! (x/2)^(2n-order) / 2 on integers
         # scaled by 2^e, which gives its first term 24 guard bits; each next term is the last
         # times (x/2)^2 / (n (order - n)), truncated, and the signs alternate
@@ -213,7 +217,7 @@ def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
             t = (num << e) // den if e >= 0 else num // (den << -e)
             for n in range(order):
                 if n:
-                    t = t * a * a // (4 * b * b * n * (order - n))
+                    t = t * aa // (bb4 * n * (order - n))
                 finite += -t if n % 2 else t
             finite = mpmath.ldexp(finite, -e)
         # coef at scale 2^s, the digammas and log at 2^f, the sum at 2^(s + f + 1);
@@ -235,7 +239,7 @@ def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
             if n > 2 and bound * ten * ten < (abs(acc) + fin) * ten + (1 << (s + f + 1)):
                 break
             n += 1
-            c = c * a * a // (4 * b * b * n * (order + n))
+            c = c * aa // (bb4 * n * (order + n))
             d1 += (1 << f) // n
             d2 += (1 << f) // (order + n)
             if n > _MAX_TERMS:
@@ -348,7 +352,8 @@ def _k_bucket(anu: float, xb: np.ndarray, lc: np.ndarray | None) -> tuple[np.nda
     t, w, c = _k_nodes(int(round(_panel_cutoff(anu, float(xb.min())) / 0.5)))
     if lc is None or lc.size < t.size:
         lc = _log_cosh(t, anu)
-    g = np.multiply.outer(xb, c)  # exp(lc - x (cosh t - 1)) in place, the same operations in the same order
+    g = np.einsum("i,j->ij", xb, c)  # x (cosh t - 1): the bits of np.multiply.outer, in less time
+    # exp(lc - x (cosh t - 1)) in place, the same operations in the same order
     np.subtract(lc[: t.size], g, out=g)
     with np.errstate(over="ignore"):
         scaled = np.exp(g, out=g) @ w
@@ -379,15 +384,18 @@ def besselk_values(nu: float, xs: np.ndarray, store: dict | None = None) -> np.n
         raise ValueError("all grid points must be finite and positive")
     anu = abs(nu)
     out = np.empty_like(xs)
+    if not xs.size:
+        return out
     buckets = np.floor(np.log2(xs) / 2.0).astype(int)
+    order = np.argsort(buckets, kind="stable")  # ascending buckets, each in input order
+    values = []
     lc = None  # log cosh(anu t), taken once on the first bucket integrated: it needs the most nodes
-    for b in _distinct(buckets):
-        mask = buckets == b
-        xb = xs[mask]
+    for xb in np.split(xs[order], np.flatnonzero(np.diff(buckets[order])) + 1):
         by_order = {} if store is None else store.setdefault(xb.tobytes(), {})
         if anu not in by_order:
             by_order[anu], lc = _k_bucket(anu, xb, lc)
-        out[mask] = by_order[anu]
+        values.append(by_order[anu])
+    out[order] = np.concatenate(values)
     return out
 
 
@@ -406,22 +414,29 @@ def besseli_values(nu: float, xs: np.ndarray) -> np.ndarray:
         raise ValueError("all grid points must be positive")
     if not np.all(xs <= _I_GRID_X_MAX):
         raise ValueError(f"grid points past x = {_I_GRID_X_MAX} are outside the operating range")
-    half = xs / 2.0
+    order = np.argsort(xs, axis=None, kind="stable")
+    half = xs.ravel()[order] / 2.0
     log_half = np.log(half, out=np.full_like(half, _LOG_HALF_TINIEST), where=half > 0)
     term = np.exp(_log_i_lead(nu, log_half))
     total = term.copy()
     q = half * half
+    lo = 0  # the points before lo have stopped
     for n in range(_MAX_TERMS):
-        np.divide(np.multiply(term, q, out=term), (n + 1) * (nu + n + 1), out=term)
-        total += term
-        # Testing the stop every 8 terms returns the same bits.  The ratio of
-        # consecutive terms q / ((n + 1) (nu + n + 1)) falls with n, so the
-        # terms rise, then fall, and a term below 1e-17 of the total lies on
-        # the falling side.  Every later term is then below
+        t, s = term[lo:], total[lo:]
+        np.divide(np.multiply(t, q[lo:], out=t), (n + 1) * (nu + n + 1), out=t)
+        s += t
+        # Testing the stop every 8 terms, on the points not yet stopped, returns
+        # the same bits.  The ratio of consecutive terms q / ((n + 1) (nu + n + 1))
+        # falls with n, so the terms rise, then fall, and a term below 1e-17 of
+        # the total lies on the falling side.  Every later term is then below
         # 1e-17 total < 2^-54 total < half an ulp of the total, and adding it
-        # leaves the total unchanged.
+        # leaves the total unchanged.  Small x stops first, so the stopped
+        # points leave from the front of the sorted grid as a slice, not a copy.
         if n % 8 == 0:
-            ratio = np.divide(term, total, out=np.zeros_like(total), where=total > 0)
-            if float(ratio.max()) < _RELATIVE_STOP:
-                return total
+            stopped = np.divide(t, s, out=np.zeros_like(s), where=s > 0) < _RELATIVE_STOP
+            if stopped.all():
+                out = np.empty_like(total)
+                out[order] = total
+                return out.reshape(xs.shape)
+            lo += int(stopped.argmin())
     raise RuntimeError("series failed to terminate")

@@ -339,8 +339,10 @@ def test_triple_relations_peak_memory_stays_below_the_operator_arithmetic():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the check in SparseOperator arithmetic peaked at 8,550,686-8,551,423 bytes in three runs
-    assert peak <= 8_551_423, peak
+    # the check on shift arrays peaked at 6,997,685-7,016,039 bytes in four runs (alone and
+    # after the rest of this file); the pin is that peak plus 5%, so a larger regression fails
+    # (the former check in SparseOperator arithmetic peaked at 8,551,423 bytes)
+    assert peak <= 7_366_841, peak
 
 
 @settings(max_examples=80, deadline=None)

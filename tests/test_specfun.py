@@ -510,11 +510,44 @@ def test_besselk_values_match_the_former_bucket_integral_bit_for_bit(nu, xs):
     assert _outcome(besselk_values, nu, xs) == _outcome(reference_besselk_values, nu, xs)
 
 
+def _reordered(xs):
+    """The points of ``xs`` descending, repeated, and shuffled so that their buckets interleave."""
+    return xs[::-1], np.tile(xs[::5], 3), np.random.default_rng(7).permutation(xs)
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.5, 3.7, 12.0, 59.9, 150.0])
 def test_besselk_values_at_the_edges_match_the_former_bucket_integral(nu):
     # from x = 1e-300 the cutoff or e^x K leaves the double range at most orders
-    for xs in (np.logspace(-300, math.log10(700.0), 60), np.array([5e-324]), np.logspace(-3, 2.8, 50)):
+    spread = np.logspace(-3, 2.8, 50)
+    for xs in (np.logspace(-300, math.log10(700.0), 60), np.array([5e-324]), spread, *_reordered(spread)):
         assert _outcome(besselk_values, nu, xs) == _outcome(reference_besselk_values, nu, xs)
+
+
+def test_empty_grids_give_empty_columns():
+    for fn in (besselk_values, besseli_values):
+        assert fn(1.5, np.array([])).tobytes() == b""
+
+
+def test_a_stored_bucket_at_other_input_positions_is_not_integrated_again(monkeypatch):
+    calls = []
+    k_bucket = specfun._k_bucket
+
+    def counting(anu, xb, lc):
+        calls.append(xb.tolist())
+        return k_bucket(anu, xb, lc)
+
+    monkeypatch.setattr(specfun, "_k_bucket", counting)
+    # the buckets [0.5], [4.5, 7.0, 12.0] and [100.0]; the second grid holds each of them at
+    # other positions, with each bucket's points in the same order
+    first, second = np.array([0.5, 4.5, 7.0, 12.0, 100.0]), np.array([4.5, 100.0, 7.0, 0.5, 12.0])
+    store = {}
+    values = besselk_values(1.5, first, store)
+    assert calls == [[0.5], [4.5, 7.0, 12.0], [100.0]]
+    for nu in (1.5, -1.5):
+        again = besselk_values(nu, second, store)
+        assert again.tobytes() == values[[1, 4, 2, 0, 3]].tobytes()
+        assert again.tobytes() == reference_besselk_values(nu, second).tobytes()
+    assert len(calls) == 3
 
 
 _I_ORDERS = st.one_of(
@@ -532,7 +565,8 @@ def test_besseli_values_match_the_series_stopped_after_every_term_bit_for_bit(nu
 
 
 def test_besseli_values_at_the_edges_match_the_series_stopped_after_every_term():
-    grids = (np.array([5e-324, 1e-320, 1e-310, 1.0]), np.logspace(-300, math.log10(700.0), 80), np.linspace(1.0, 700.0, 97))
+    spread = np.logspace(-300, math.log10(700.0), 80)
+    grids = (np.array([5e-324, 1e-320, 1e-310, 1.0]), spread, np.linspace(1.0, 700.0, 97), *_reordered(spread))
     with np.errstate(all="ignore"):
         for nu in (-0.99, -0.5, 0.0, 0.3, 1.0, 3.7, 12.0, 60.0, 150.0, 400.0, 3e305):
             for xs in grids:
