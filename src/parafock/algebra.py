@@ -44,7 +44,7 @@ def structure_f(m12, m22, p: float):
 
 
 def _f1(m12, m22, p):
-    sign = np.where(m22 % 2, -1.0, 1.0)
+    sign = np.where(m22 & 1, -1.0, 1.0)
     return sign * np.sqrt((m12 + 2 + even_ind(m12) * (p - 2)) / (m12 - m22 + 1 + odd_ind(m12 - m22)))
 
 
@@ -239,14 +239,6 @@ class SparseOperator:
         return SparseOperator(self.dim, self.rows, self.cols, scalar * self.vals)
 
     __rmul__ = __mul__
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Dense submatrix on the given sorted row and column indices."""
-        r, c = _position(rows, self.rows), _position(cols, self.cols)
-        inside = (r >= 0) & (c >= 0)
-        out = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-        out[r[inside], c[inside]] = self.vals[inside]
-        return out
 
     def on_columns(self, columns) -> "SparseOperator":
         """The entries in the given columns only; the order of the kept entries is unchanged."""

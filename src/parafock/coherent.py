@@ -18,7 +18,7 @@ import numpy as np
 from . import algebra
 from .fockspace import FockBasis, FockVector, _require_integers, even_ind, odd_ind
 from .specfun import bessel_i, hyp0f1
-from .zeromodes import _validate_family, ladder_rungs, ladder_step
+from .zeromodes import _rung_step, _validate_family, ladder_rungs, ladder_step
 
 _ALPHA_MAX = 5.0
 _NMAX_CAP = 200
@@ -93,7 +93,7 @@ def build_coherent(
                 )
         elif n >= nmax:
             break
-        coeffs.append(coeffs[-1] * alpha / ladder_step(p, j, n))
+        coeffs.append(coeffs[-1] * alpha / _rung_step(p, j, n))
         n += 1
         peak = max(peak, abs(coeffs[-1]))
 
@@ -182,11 +182,12 @@ def eigen_residual(s: CoherentState) -> tuple[float, float]:
     |alpha| |a_nmax|).  In exact arithmetic only the dropped top rung
     contributes, so the two coincide up to representation rounding.
     """
+    ladder_step(s.p, s.j, 0)  # checks the state's p and j once, for every rung below
     a = s.coeffs
     alpha = s.alpha
     resid_sq = 0.0
     for n in range(len(a) - 1):
-        d = a[n + 1] * ladder_step(s.p, s.j, n) - alpha * a[n]
+        d = a[n + 1] * _rung_step(s.p, s.j, n) - alpha * a[n]
         resid_sq += abs(d) ** 2
     resid_sq += abs(alpha * a[-1]) ** 2
     return math.sqrt(resid_sq), abs(alpha) * abs(a[-1])

@@ -44,13 +44,13 @@ def _require_integers(minimum=None, **labels) -> None:
 
 
 def even_ind(n):
-    """Indicator of n being even, extended to negative integers mod 2; accepts arrays."""
-    return 1 - (n % 2)
+    """Indicator of an integer n being even, n mod 2 for negative n too; accepts integer arrays."""
+    return 1 - (n & 1)
 
 
 def odd_ind(n):
-    """Indicator of n being odd, extended to negative integers mod 2; accepts arrays."""
-    return n % 2
+    """Indicator of an integer n being odd, n mod 2 for negative n too; accepts integer arrays."""
+    return n & 1
 
 
 def cartan_weights(p: float, m12, m22, m11):

@@ -47,7 +47,7 @@ from .specfun import bessel_i, bessel_k, bessel_k_oracle
 from .zeromodes import (
     b2sq_shift,
     kernel_oracle,
-    zero_mode_coeffs,
+    ladder_rungs,
     zero_mode_vector,
 )
 
@@ -124,11 +124,12 @@ def check_zero_modes(p_grid=P_GRID) -> CheckResult:
     for p in p_grid:
         basis = enumerate_basis(p, 20)
         for k in range(11):  # by sector, so each sector's b1- serves its zero modes in a row
+            lowering = algebra._h2_sector(basis, "b1-", k)[1]
             for j in range(k + 1):
-                coeffs = zero_mode_coeffs(j, k, p)
+                index, values = ladder_rungs(basis, j, k, 0)[0]  # the zero mode, read once as rung 0
+                coeffs = values.real.copy()  # the zero_mode_coeffs floats; a strided dot sums in another order
                 gate.add("normalization", abs(float(np.dot(coeffs, coeffs)) - 1.0))
-                vec = zero_mode_vector(basis, j, k)
-                gate.add("annihilation", algebra._h2_sector(basis, "b1-", k)[1].apply(vec).norm())
+                gate.add("annihilation", lowering.apply(FockVector.scatter(basis, index, values)).norm())
         for j in range(11):
             for k in range(11):
                 dim, _ = kernel_oracle(basis, j, k)

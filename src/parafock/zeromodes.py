@@ -71,15 +71,20 @@ def kernel_oracle(basis: FockBasis, j: int, k: int) -> tuple[int, list[FockVecto
     Returns the kernel dimension and an orthonormal basis of the null space,
     scattered into the full space.  The route is formula-free: b1- on the
     h2 = p/2 + k patterns, built once per basis and shared with the zero-mode
-    residuals, and dense linear algebra.  ``j > k`` blocks have an empty kernel.
+    residuals, and dense linear algebra.  m11 = degree - k ascends along the
+    sector's sorted columns, so the block is its m11 = j run against the m11 = j - 1
+    run before it.  ``j > k`` blocks have an empty kernel.
     """
     _require_integers(0, j=j, k=k)
     if k + j > basis.cutoff:
         raise ValueError(f"cutoff {basis.cutoff} too small for the weight (j, k) = ({j}, {k})")
     columns, lowering = algebra._h2_sector(basis, "b1-", k)
-    m11 = basis.m11[columns]
-    source = columns[m11 == j]
-    block = lowering.block(columns[m11 == j - 1], source).real  # no rows at j = 0
+    start, mid, stop = basis.m11[columns].searchsorted((j - 1, j, j + 1))
+    target, source = columns[start:mid], columns[mid:stop]  # no target rows at j = 0
+    lo, hi = lowering.cols.searchsorted((source[0], source[-1] + 1))  # b1- maps all into target
+    rows, cols = target.searchsorted(lowering.rows[lo:hi]), source.searchsorted(lowering.cols[lo:hi])
+    block = np.zeros((target.size, source.size))
+    block[rows, cols] = lowering.vals[lo:hi]
     # with no target rows the SVD returns no singular values and vh = identity
     _, s, vh = np.linalg.svd(block)
     threshold = _RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
@@ -92,10 +97,15 @@ def ladder_step(p: float, j: int, n: int) -> float:
 
     The same value is the lowering coefficient from rung n + 1 back to n,
     so a single definition keeps the two directions exactly inverse at the
-    floating-point level.  Plain comparisons check the labels: this runs once per rung.
+    floating-point level.  The engine's loops check once per call, then read ``_rung_step``.
     """
     if n < 0 or n % 1 or type(n) is bool or j < 0 or j % 1 or type(j) is bool or not 1 < p <= P_MAX:
         raise ValueError(f"need 1 < p <= {P_MAX:g}, integers j >= 0 and n >= 0, got p = {p}, j = {j}, n = {n}")
+    return _rung_step(p, j, n)
+
+
+def _rung_step(p: float, j: int, n: int) -> float:
+    """``ladder_step`` on labels its caller has checked: the one copy of the formula."""
     return math.sqrt(n + p + 2 * j) if n % 2 == 0 else math.sqrt(n + 1.0)
 
 
@@ -154,7 +164,7 @@ def _climb(basis: FockBasis, j: int, k: int, nmax: int) -> tuple:
     rungs = [(basis.find(k + i, j - i, j), zero_mode_coeffs(j, k, basis.p).astype(np.complex128))]
     if nmax:
         columns, raise_op = algebra._h2_sector(basis, "b1+", k)
-        rungs += raise_op.walk(*rungs[0], [ladder_step(basis.p, j, n) for n in range(nmax)])
+        rungs += raise_op.walk(*rungs[0], [_rung_step(basis.p, j, n) for n in range(nmax)])
         if (algebra._position(columns, np.concatenate([index for index, _ in rungs[:-1]])) < 0).any():
             raise RuntimeError(f"a rung of the ({j}, {k}) ladder leaves the columns b1+ was built on")
     for index, values in rungs:

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from parafock import algebra, verify
+from parafock import algebra, verify, zeromodes
 from parafock.coherent import build_coherent
 
 
@@ -171,7 +171,7 @@ _NAN_SOURCES = [
      lambda: verify.check_triple_relations(_BASES), "relations"),
     ("adjointness", (algebra, "build_generator"), _nan_generator,
      lambda: verify.check_adjointness(_BASES), "adjoint"),
-    ("zero_modes", (verify, "zero_mode_coeffs"), lambda j, k, p: np.array([math.nan]),
+    ("zero_modes", (zeromodes, "zero_mode_coeffs"), lambda j, k, p: np.array([math.nan]),
      lambda: verify.check_zero_modes((2.5,)), "normalization"),
     ("coherent_norms", (verify, "coherent_norm"), _nan,
      lambda: verify.check_coherent_norms(_STATES), "bessel_vs_hyp0f1"),

@@ -30,7 +30,7 @@ from parafock import (
     to_fock_vector,
     zero_mode_vector,
 )
-from parafock.coherent import TruncationError
+from parafock.coherent import CoherentState, TruncationError
 from reference_rungs import reference_auto_coherent
 
 NORM_ROUTE_TOL = 1e-12
@@ -103,6 +103,15 @@ def test_eigen_residual_is_the_clipped_top_term():
         assert top == abs(alpha) * abs(s.coeffs[-1])
         scale = abs(alpha) * float(np.linalg.norm(s.coeffs))
         assert abs(residual - top) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("p, j", [(1.0, 0), (2.5, -1), (2.5, True)], ids=["p-1", "j-negative", "j-bool"])
+def test_eigen_residual_refuses_a_hand_built_state_outside_the_envelope(p, j):
+    # the labels are checked once per call, before the rungs are stepped without a check
+    state = CoherentState(p=p, j=j, k=2, alpha=0.5 + 0j, coeffs=np.array([1.0, 0.3, 0.05], dtype=complex),
+                          tail_bound=0.0)
+    with pytest.raises(ValueError, match="integers j >= 0 and n >= 0"):
+        eigen_residual(state)
 
 
 def test_overlap_hermiticity_and_self_overlap():

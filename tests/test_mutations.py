@@ -54,6 +54,22 @@ def k_plus_one(original):
     return lambda j, k, p: original(j, k + 1, p)
 
 
+def dim_plus_one_at_j_equal_k(original):
+    def mutant(basis, j, k):
+        dim, vectors = original(basis, j, k)
+        return dim + (j == k), vectors
+
+    return mutant
+
+
+def residual_scaled(original):
+    def mutant(state):
+        residual, top = original(state)
+        return residual * (1.0 + 1e-6), top
+
+    return mutant
+
+
 def scaled_by_argument(original):
     return lambda nu, xs: original(nu, xs) * (1.0 + 1e-3 * xs)
 
@@ -94,6 +110,11 @@ def blind(reason):
 
 ITEM_3 = "blind spot: the measure's I column cancels the states' normalization (ROADMAP item 3)"
 GATES_1E8 = "blind spot: the 1e-8 gates sit about 1e7 above their deviations (ROADMAP Decisions)"
+RESIDUAL_SCALE = (
+    "blind spot: the pinned states' residuals are 1e-19 to 1e-16 of the gate's scale max(1, |alpha| |state|), "
+    "so scaling them moves no deviation; states cut at nmax 6, gated by |residual - top| / top "
+    "(2.1e-16 at most), would see it (ROADMAP item 4)"
+)
 
 CASES = [
     pytest.param("algebra", "_f1", scaled(1.0 + 1e-9), RELATIONS, id="f1"),
@@ -102,7 +123,11 @@ CASES = [
     pytest.param("zeromodes", "zero_mode_coeffs", scaled(1.0 + 1e-9), ("zero_modes",), id="zero_mode_coeffs"),
     pytest.param("zeromodes", "zero_mode_coeffs", k_plus_one, ("zero_modes",), id="zero_mode_coeffs_k_plus_1"),
     pytest.param("zeromodes", "b2sq_shift", scaled(1.0 + 1e-9), ("bicoherent",), id="b2sq_shift"),
-    pytest.param("zeromodes", "ladder_step", scaled(1.0 + 1e-9), ("coherent_norms", "bicoherent"), id="ladder_step"),
+    # the step formula that ladder_step checks its labels for, and build_coherent and the ladders read per rung
+    pytest.param("zeromodes", "_rung_step", scaled(1.0 + 1e-9), ("coherent_norms", "bicoherent"), id="ladder_step"),
+    pytest.param("zeromodes", "kernel_oracle", dim_plus_one_at_j_equal_k, ("zero_modes",), id="kernel_oracle_dim"),
+    pytest.param("coherent", "eigen_residual", residual_scaled, ("eigen_residuals",),
+                 marks=blind(RESIDUAL_SCALE), id="eigen_residual"),
     pytest.param("coherent", "coherent_norm", scaled(1.0 + 1e-9), ("coherent_norms",), id="coherent_norm"),
     pytest.param("coherent", "coherent_norm_series", scaled(1.0 + 1e-9), ("coherent_norms",),
                  id="coherent_norm_series"),

@@ -1,6 +1,7 @@
 """Tests for lowering-kernel vectors, ladder states, and squared-shift scalars."""
 
 import contextlib
+import hashlib
 import io
 import math
 
@@ -22,7 +23,7 @@ from parafock import (
     zero_mode_coeffs,
     zero_mode_vector,
 )
-from parafock import algebra, zeromodes
+from parafock import algebra, verify, zeromodes
 from parafock.zeromodes import ladder_rungs
 from reference_walks import reference_apply_on
 
@@ -380,3 +381,77 @@ def test_b2_elements_walks_each_ladder_in_one_call(monkeypatch, capsys):
     assert climbs == [57, 57, 57]
     # the rest are the one-step b2- images of the ket, once for all three jp
     assert [steps for op, steps in walks if not any(op is b1p for b1p in raising)] == [1]
+
+
+def _sha256(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _zero_mode_items(monkeypatch) -> dict:
+    """Every deviation the zero_modes suite adds to its gate, by part, in the order added."""
+    items, add = {}, verify._Gate.add
+
+    def recording_add(gate, part, deviation):
+        items.setdefault(part, []).append(deviation)
+        add(gate, part, deviation)
+
+    monkeypatch.setattr(verify._Gate, "add", recording_add)
+    assert verify.check_zero_modes().passed
+    return items
+
+
+def _kernel_chunks(p, cutoff, pairs):
+    basis = enumerate_basis(p, cutoff)
+    for j, k in pairs:
+        dim, vectors = kernel_oracle(basis, j, k)
+        yield f"{j} {k} {dim}".encode()
+        yield from (v.coefficients.tobytes() for v in vectors)
+
+
+# sha256 of every item of the zero_modes sweep and of every kernel_oracle block, taken when the
+# suite built each zero mode twice and kernel_oracle masked its block out of the sector; the null
+# vectors are the bytes of numpy 2.4's SVD on its bundled OpenBLAS 0.3.31
+ZERO_MODE_ITEMS = {
+    "normalization": "1406af7e8521201f79143543d13abe7bb2f0c2aeb4602a2f9d975cfa97e75395",
+    "annihilation": "1f1c77da1100f09112fcd70e278ac4019ab5547efe68153c7ecfc8735e1ed442",
+}
+KERNELS_AT_CUTOFF_20 = {
+    2.5: "2d599be35f20c4992394840307078f7cf5530136b9d47a7deab43c3f38f41fa2",
+    120.0: "e2963bda472a067eea47db39c568001f4f5754a872cefe6c0486ab1e8751a137",
+}
+KERNELS_AT_THE_CUTOFF = "537259841eec739c5d49287896b4a37c9dfda2ab95d8b88681a91b93070b77f9"
+
+
+def test_every_zero_mode_item_keeps_its_bits(monkeypatch):
+    # the suite's part pins see only its worst value, so one changed item could pass them
+    items = _zero_mode_items(monkeypatch)
+    for part, digest in ZERO_MODE_ITEMS.items():
+        assert len(items[part]) == 330
+        assert _sha256(float(d).hex().encode() for d in items[part]) == digest, part
+
+
+@pytest.mark.parametrize("p", sorted(KERNELS_AT_CUTOFF_20))
+def test_every_kernel_oracle_block_keeps_its_dimension_and_vectors(p):
+    pairs = [(j, k) for j in range(11) for k in range(11)]
+    assert _sha256(_kernel_chunks(p, 20, pairs)) == KERNELS_AT_CUTOFF_20[p]
+
+
+def test_kernel_oracle_at_the_cutoff_keeps_its_dimension_and_vectors():
+    # k + j = cutoff: the source run is the sector's last, at the degree of the cutoff shell
+    pairs = [(j, 8 - j) for j in range(9)]
+    assert [kernel_oracle(enumerate_basis(2.5, 8), j, k)[0] for j, k in pairs] == [1] * 5 + [0] * 4
+    assert _sha256(_kernel_chunks(2.5, 8, pairs)) == KERNELS_AT_THE_CUTOFF
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 8])
+def test_kernel_oracle_at_j_0_has_no_rows_and_returns_the_unit_vector(k):
+    # the source run is the one pattern (k, 0; 0), and m11 = -1 leaves the block no rows
+    basis = enumerate_basis(2.5, 8)
+    dim, vectors = kernel_oracle(basis, 0, k)
+    assert dim == 1
+    unit = np.zeros(basis.size, dtype=np.complex128)
+    unit[basis.find(k, 0, 0)] = 1.0
+    assert vectors[0].coefficients.tobytes() == unit.tobytes()
