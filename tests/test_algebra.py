@@ -613,7 +613,7 @@ def test_products_and_sums_match_the_former_kernel_bit_for_bit(ops):
     ids=["row-aliases-an-entry", "negative-row", "col-at-dim", "negative-col", "row-at-dim"],
 )
 def test_from_entries_rejects_positions_outside_the_matrix(entries):
-    # keys col * dim + row would alias distinct entries or drop them from block
+    # keys col * dim + row would alias distinct entries, and an index outside the matrix would break apply
     with pytest.raises(ValueError, match="outside the 3 x 3 matrix"):
         SparseOperator.from_entries(3, entries)
 
