@@ -9,9 +9,11 @@ in double precision once x exceeds a few units (the summands grow like e^x
 while the result decays like e^-x), so they are evaluated in escalated
 working precision sized from that loss estimate and rounded to a double at
 the end.  The term loops run on Python integers scaled by 2^prec at those
-working digits; mpmath supplies only the one-off prefactors, and the first
-``bessel_k`` call imports it.  An independent
-integral-representation evaluator serves as oracle and as the stable backend
+working digits.  The one-off prefactors (power, gamma, sin, pi, log, euler,
+digamma, factorial) are the ``mpmath.libmp`` calls that mpmath's operators and
+functions make at those digits, rounded to nearest, so every mpf is the one
+they give, without their wrappers; the first ``bessel_k`` call imports mpmath.
+An independent integral-representation evaluator serves as oracle and as the stable backend
 for quadrature grids; it and the radial grids share one Gauss-Legendre panel rule.
 Its 24- and 20-point reference rules are pinned tables of ``leggauss``'s bits, so no
 run loads ``numpy.polynomial`` or calls LAPACK to build them, and no output depends
@@ -20,7 +22,8 @@ The integral reads its nodes, weights and cosh(t) - 1 as prefixes of one
 read-only table of half-unit panels, built on first use and grown to exactly
 the panels a bucket asks for, and takes log cosh(nu t) once per call.  It
 groups a grid into magnitude buckets with one stable sort, each bucket's
-points in input order, and forms x (cosh t - 1) with ``einsum``, whose
+points in input order and sliced from the sorted points, removes the scaling
+e^x once per call, and forms x (cosh t - 1) with ``einsum``, whose
 products are those of ``np.multiply.outer`` bit for bit.  The vectorized I
 series runs on its points in ascending x and tests its stop every 8 terms;
 points that have stopped leave from the front as a slice.  That returns the
@@ -167,17 +170,19 @@ def _working_digits(x: float, delta: float) -> int:
 
 
 def _besseli_series_mp(mu: float, x: float, digits: int):
-    """Ascending series for I_mu(x) on integers scaled by 2^s; returns (value, terms).
+    """Ascending series for I_mu(x) on integers scaled by 2^s; returns (raw mpf value, terms).
 
     The scale gives the leading term 24 guard bits past the working
     precision, each term is truncated toward zero, and the sum stops once
     |term| < 10^-(digits - 6) |total|.
     """
-    import mpmath
-    ten = 10 ** (digits - 6)
-    term = mpmath.power(mpmath.mpf(x) / 2, mu) / mpmath.gamma(mpmath.mpf(mu) + 1)
-    s = mpmath.mp.prec + 24 - mpmath.mag(term)
-    t = total = int(mpmath.ldexp(term, s))
+    from mpmath import libmp
+    prec, ten, mu_f = libmp.dps_to_prec(digits), 10 ** (digits - 6), libmp.from_float(mu)
+    lead = libmp.mpf_pow(libmp.mpf_shift(libmp.from_float(x), -1), mu_f, prec, "n")  # (x/2)^mu
+    gamma = libmp.mpf_gamma(libmp.mpf_add(mu_f, libmp.fone, prec, "n"), prec, "n")  # Gamma(mu + 1)
+    term = libmp.mpf_div(lead, gamma, prec, "n")
+    s = prec + 24 - term[2] - term[3]  # mag(term) = exp + bitcount
+    t = total = libmp.to_int(libmp.mpf_shift(term, s))
     (a, b), (c, e) = float(x).as_integer_ratio(), float(mu).as_integer_ratio()
     aae, bb4 = a * a * e, 4 * b * b
     n = 0
@@ -187,65 +192,68 @@ def _besseli_series_mp(mu: float, x: float, digits: int):
         t = abs(num) // abs(den) if (num < 0) == (den < 0) else -(abs(num) // abs(den))
         total += t
         if abs(t) * ten < abs(total):
-            return mpmath.ldexp(total, -s), n
+            return libmp.from_man_exp(total, -s), n
         if n > _MAX_TERMS:
             raise RuntimeError("series failed to terminate")
 
 
 def _bessel_k_reflection(nu: float, x: float, digits: int) -> tuple[float, int]:
-    import mpmath
-    with mpmath.workdps(digits):
-        iplus, n1 = _besseli_series_mp(nu, x, digits)
-        iminus, n2 = _besseli_series_mp(-nu, x, digits)
-        value = mpmath.pi * (iminus - iplus) / (2 * mpmath.sin(mpmath.pi * mpmath.mpf(nu)))
-        return float(value), n1 + n2
+    from mpmath import libmp
+    prec = libmp.dps_to_prec(digits)
+    iplus, n1 = _besseli_series_mp(nu, x, digits)
+    iminus, n2 = _besseli_series_mp(-nu, x, digits)
+    pi = libmp.mpf_pi(prec, "n")  # the value is pi (I_-nu - I_nu) / (2 sin(pi nu))
+    num = libmp.mpf_mul(pi, libmp.mpf_sub(iminus, iplus, prec, "n"), prec, "n")
+    sin = libmp.mpf_sin(libmp.mpf_mul(pi, libmp.from_float(nu), prec, "n"), prec, "n")
+    value = libmp.mpf_div(num, libmp.mpf_mul_int(sin, 2, prec, "n"), prec, "n")
+    return libmp.to_float(value, rnd="n"), n1 + n2
 
 
 def _bessel_k_integer(order: int, x: float, digits: int) -> tuple[float, int]:
-    import mpmath
-    with mpmath.workdps(digits):
-        half = mpmath.mpf(x) / 2
-        a, b = float(x).as_integer_ratio()
-        aa, bb4 = a * a, 4 * b * b
-        # the finite sum sum_(n<order) (-1)^n (order-n-1)!/n! (x/2)^(2n-order) / 2 on integers
-        # scaled by 2^e, which gives its first term 24 guard bits; each next term is the last
-        # times (x/2)^2 / (n (order - n)), truncated, and the signs alternate
-        finite = 0
-        if order:
-            num, den = math.factorial(order - 1) * (2 * b) ** order, 2 * a**order
-            e = mpmath.mp.prec + 24 - num.bit_length() + den.bit_length()
-            t = (num << e) // den if e >= 0 else num // (den << -e)
-            for n in range(order):
-                if n:
-                    t = t * aa // (bb4 * n * (order - n))
-                finite += -t if n % 2 else t
-            finite = mpmath.ldexp(finite, -e)
-        # coef at scale 2^s, the digammas and log at 2^f, the sum at 2^(s + f + 1);
-        # acc cancels by e^(-2x), so s resolves the absolute floor stop^2
-        coef = mpmath.power(half, order) / mpmath.factorial(order)
-        f = mpmath.mp.prec + 24
-        s = 2 * f - mpmath.mag(coef)
-        c = int(mpmath.ldexp(coef, s))
-        prefactors = (mpmath.log(half), -mpmath.euler, mpmath.digamma(order + 1))
-        logh, d1, d2 = (int(mpmath.ldexp(v, f)) for v in prefactors)
-        fin = int(mpmath.ldexp(abs(finite), s + f + 1))
-        ten = 10 ** (digits - 6)
-        acc = 0
-        n = 0
-        while True:
-            acc += c * (2 * logh - d1 - d2)
-            bound = c * (2 * abs(logh) + abs(d1) + abs(d2))
-            # bound < stop (|acc| + |finite| + stop) with stop = 1 / ten
-            if n > 2 and bound * ten * ten < (abs(acc) + fin) * ten + (1 << (s + f + 1)):
-                break
-            n += 1
-            c = c * aa // (bb4 * n * (order + n))
-            d1 += (1 << f) // n
-            d2 += (1 << f) // (order + n)
-            if n > _MAX_TERMS:
-                raise RuntimeError("series failed to terminate")
-        value = finite + (-1) ** (order + 1) * mpmath.ldexp(acc, -(s + f + 1))
-        return float(value), n + 1 + order
+    from mpmath import libmp
+    prec, half = libmp.dps_to_prec(digits), libmp.mpf_shift(libmp.from_float(x), -1)
+    a, b = float(x).as_integer_ratio()
+    aa, bb4 = a * a, 4 * b * b
+    # the finite sum sum_(n<order) (-1)^n (order-n-1)!/n! (x/2)^(2n-order) / 2 on integers
+    # scaled by 2^e, which gives its first term 24 guard bits; each next term is the last
+    # times (x/2)^2 / (n (order - n)), truncated, and the signs alternate
+    finite, e = 0, 0
+    if order:
+        num, den = math.factorial(order - 1) * (2 * b) ** order, 2 * a**order
+        e = prec + 24 - num.bit_length() + den.bit_length()
+        t = (num << e) // den if e >= 0 else num // (den << -e)
+        for n in range(order):
+            if n:
+                t = t * aa // (bb4 * n * (order - n))
+            finite += -t if n % 2 else t
+    finite = libmp.from_man_exp(finite, -e)
+    # coef at scale 2^s, the digammas and log at 2^f, the sum at 2^(s + f + 1);
+    # acc cancels by e^(-2x), so s resolves the absolute floor stop^2
+    f, n_f = prec + 24, libmp.from_int(order)
+    coef = libmp.mpf_div(libmp.mpf_pow(half, n_f, prec, "n"), libmp.mpf_factorial(n_f, prec, "n"), prec, "n")
+    s = 2 * f - coef[2] - coef[3]  # mag(coef) = exp + bitcount
+    c = libmp.to_int(libmp.mpf_shift(coef, s))
+    prefactors = (libmp.mpf_log(half, prec, "n"), libmp.mpf_neg(libmp.mpf_euler(prec, "n")),
+                  libmp.mpf_psi0(libmp.from_int(order + 1), prec, "n"))
+    logh, d1, d2 = (libmp.to_int(libmp.mpf_shift(v, f)) for v in prefactors)
+    fin = libmp.to_int(libmp.mpf_shift(libmp.mpf_abs(finite, prec, "n"), s + f + 1))
+    ten = 10 ** (digits - 6)
+    acc = 0
+    n = 0
+    while True:
+        acc += c * (2 * logh - d1 - d2)
+        bound = c * (2 * abs(logh) + abs(d1) + abs(d2))
+        # bound < stop (|acc| + |finite| + stop) with stop = 1 / ten
+        if n > 2 and bound * ten * ten < (abs(acc) + fin) * ten + (1 << (s + f + 1)):
+            break
+        n += 1
+        c = c * aa // (bb4 * n * (order + n))
+        d1 += (1 << f) // n
+        d2 += (1 << f) // (order + n)
+        if n > _MAX_TERMS:
+            raise RuntimeError("series failed to terminate")
+    tail = libmp.mpf_mul_int(libmp.from_man_exp(acc, -(s + f + 1)), (-1) ** (order + 1), prec, "n")
+    return libmp.to_float(libmp.mpf_add(finite, tail, prec, "n"), rnd="n"), n + 1 + order
 
 
 def bessel_k(nu: float, x: float) -> SeriesResult:
@@ -344,10 +352,10 @@ def _k_nodes(n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _k_bucket(anu: float, xb: np.ndarray, lc: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """K_anu on one magnitude bucket, on 24-point half-unit panels out to its smallest point's cutoff.
+    """e^x K_anu(x) on one magnitude bucket, on 24-point half-unit panels out to its smallest point's cutoff.
 
     ``lc`` is log cosh(anu t) on the leading nodes, or None; returns the
-    values and the log cosh it used, which later buckets slice.
+    scaled values and the log cosh it used, which later buckets slice.
     """
     t, w, c = _k_nodes(int(round(_panel_cutoff(anu, float(xb.min())) / 0.5)))
     if lc is None or lc.size < t.size:
@@ -355,25 +363,23 @@ def _k_bucket(anu: float, xb: np.ndarray, lc: np.ndarray | None) -> tuple[np.nda
     g = np.einsum("i,j->ij", xb, c)  # x (cosh t - 1): the bits of np.multiply.outer, in less time
     # exp(lc - x (cosh t - 1)) in place, the same operations in the same order
     np.subtract(lc[: t.size], g, out=g)
-    with np.errstate(over="ignore"):
-        scaled = np.exp(g, out=g) @ w
-    if not np.all(np.isfinite(scaled)):
+    scaled = np.exp(g, out=g) @ w  # the caller ignores overflow: an inf value raises below
+    if not np.isfinite(scaled).all():
         raise ValueError(f"e^x K_{anu}(x) exceeds the double range for x in [{xb.min()}, {xb.max()}]")
-    return scaled * np.exp(-xb), lc
+    return scaled, lc
 
 
 def besselk_values(nu: float, xs: np.ndarray, store: dict | None = None) -> np.ndarray:
     """K_nu on a grid of finite positive arguments via the integral representation.
 
-    Evaluates e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt with
-    panel Gauss-Legendre rules and removes the scaling at the end, which is
-    stable at any argument.  Grid points are bucketed by magnitude
-    (4^b <= x < 4^(b+1)) so the integration range adapts to the
-    slowest-decaying point of each bucket; a bucket's values depend only on
-    |nu| and its own points.  ``store`` is a caller-owned dict that maps a
-    bucket's point bytes to its values by |nu|: a bucket found there is not
-    integrated again, so grids that share a prefix of points share their
-    lower buckets bit for bit.  The caller decides how long it lives.
+    Evaluates e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt with panel
+    Gauss-Legendre rules and removes the scaling at the end, once per call on all points,
+    which is stable at any argument.  Grid points are bucketed by magnitude (4^b <= x < 4^(b+1))
+    so the integration range adapts to the slowest-decaying point of each bucket; a bucket's
+    values depend only on |nu| and its own points.  ``store`` is a caller-owned dict that maps
+    a bucket's point bytes to its scaled values e^x K by |nu|: a bucket found there is not
+    integrated again, so grids that share a prefix of points share their lower buckets bit
+    for bit.  The caller decides how long it lives.
     """
     if not math.isfinite(nu):
         raise ValueError(f"need a finite order, got {nu}")
@@ -388,14 +394,17 @@ def besselk_values(nu: float, xs: np.ndarray, store: dict | None = None) -> np.n
         return out
     buckets = np.floor(np.log2(xs) / 2.0).astype(int)
     order = np.argsort(buckets, kind="stable")  # ascending buckets, each in input order
-    values = []
+    xsorted, scaled = xs[order], np.empty_like(xs)
+    cuts = (np.flatnonzero(np.diff(buckets[order])) + 1).tolist()  # where each bucket after the first starts
     lc = None  # log cosh(anu t), taken once on the first bucket integrated: it needs the most nodes
-    for xb in np.split(xs[order], np.flatnonzero(np.diff(buckets[order])) + 1):
-        by_order = {} if store is None else store.setdefault(xb.tobytes(), {})
-        if anu not in by_order:
-            by_order[anu], lc = _k_bucket(anu, xb, lc)
-        values.append(by_order[anu])
-    out[order] = np.concatenate(values)
+    with np.errstate(over="ignore"):
+        for lo, hi in zip([0, *cuts], [*cuts, xs.size]):
+            xb = xsorted[lo:hi]
+            by_order = {} if store is None else store.setdefault(xb.tobytes(), {})
+            if anu not in by_order:
+                by_order[anu], lc = _k_bucket(anu, xb, lc)
+            scaled[lo:hi] = by_order[anu]
+    out[order] = scaled * np.exp(-xsorted)
     return out
 
 

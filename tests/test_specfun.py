@@ -396,7 +396,11 @@ def test_scaled_integer_series_match_the_mpf_loops_bit_for_bit(nu, x):
     _assert_same_bits(nu, x)
 
 
-@pytest.mark.parametrize("nu, x", [(0.0, 50.0), (60.0, 0.01), (59.5, 50.0), (2.000005, 50.0), (0.3, 5e-324)])
+@pytest.mark.parametrize(
+    "nu, x",
+    [(0.0, 50.0), (60.0, 0.01), (59.5, 50.0), (2.000005, 50.0), (0.3, 5e-324), (60.0, 50.0), (59.999998, 50.0),
+     (1.00000101, 50.0), (0.99999899, 1e-300), (60.0, 1e-3), (0.0, 5e-324)],
+)
 def test_scaled_integer_series_at_the_envelope_edges(nu, x):
     # K_0(50) is where an integer-order scale taken from the leading term stops early
     _assert_same_bits(nu, x)
@@ -528,7 +532,8 @@ def test_empty_grids_give_empty_columns():
         assert fn(1.5, np.array([])).tobytes() == b""
 
 
-def test_a_stored_bucket_at_other_input_positions_is_not_integrated_again(monkeypatch):
+def _count_k_buckets(monkeypatch):
+    """Make ``specfun._k_bucket`` record the points of every bucket it integrates; returns the record."""
     calls = []
     k_bucket = specfun._k_bucket
 
@@ -537,6 +542,11 @@ def test_a_stored_bucket_at_other_input_positions_is_not_integrated_again(monkey
         return k_bucket(anu, xb, lc)
 
     monkeypatch.setattr(specfun, "_k_bucket", counting)
+    return calls
+
+
+def test_a_stored_bucket_at_other_input_positions_is_not_integrated_again(monkeypatch):
+    calls = _count_k_buckets(monkeypatch)
     # the buckets [0.5], [4.5, 7.0, 12.0] and [100.0]; the second grid holds each of them at
     # other positions, with each bucket's points in the same order
     first, second = np.array([0.5, 4.5, 7.0, 12.0, 100.0]), np.array([4.5, 100.0, 7.0, 0.5, 12.0])
@@ -548,6 +558,14 @@ def test_a_stored_bucket_at_other_input_positions_is_not_integrated_again(monkey
         assert again.tobytes() == values[[1, 4, 2, 0, 3]].tobytes()
         assert again.tobytes() == reference_besselk_values(nu, second).tobytes()
     assert len(calls) == 3
+
+
+def test_no_k_value_is_memoized_across_calls(monkeypatch):
+    calls = _count_k_buckets(monkeypatch)
+    # without a store, a second call on the same grid integrates every bucket again
+    xs = np.array([0.5, 4.5, 7.0, 12.0, 100.0])
+    assert besselk_values(1.5, xs).tobytes() == besselk_values(1.5, xs).tobytes()
+    assert calls == [[0.5], [4.5, 7.0, 12.0], [100.0]] * 2
 
 
 _I_ORDERS = st.one_of(
