@@ -366,14 +366,14 @@ def _shift_product(a, b, count: int) -> dict[int, np.ndarray]:
     Each position adds its terms in the order ``SparseOperator.__matmul__`` lists them (b's
     entries by row, then a's), so a product term's code being the sum of its factors' codes
     gives the bits of the operator product; a missing term adds the sentinel's 0.  One gather
-    per code of b forms the terms of every code of a at once.
+    and one multiply form every terms[code of a, code of b, column]; codes sum views in place.
     """
     (codes_a, _, value_a), (codes_b, row_b, value_b) = a, b
+    terms = value_a.take(row_b[:, :count], axis=1)
+    terms *= value_b[None, :, :count]
     sums = {}
-    for code_b, row, value in zip(codes_b, row_b[:, :count], value_b[:, :count]):
-        terms = value_a.take(row, axis=1)
-        terms *= value
-        for code_a, term in zip(codes_a, terms):
+    for i, code_b in enumerate(codes_b):
+        for code_a, term in zip(codes_a, terms[:, i]):
             code = code_a + code_b
             if code in sums:
                 sums[code] += term
@@ -386,7 +386,8 @@ def _commutator_deviation(anti, gen, rhs, count: int) -> float:
     """Largest |X - Y - R| on columns 0 .. count - 1, from ``_shifts``.
 
     X = anti @ gen and Y = gen @ anti come from ``_shift_product``, and R sums scale * value
-    over the (shifts, scale) pairs of ``rhs`` in that order.
+    over the (shifts, scale) pairs of ``rhs`` in that order.  X's arrays are its own: Y and R
+    are subtracted from them in place.
     """
     right = {}
     for (codes, _, value), scale in rhs:
@@ -395,7 +396,7 @@ def _commutator_deviation(anti, gen, rhs, count: int) -> float:
     sums = _shift_product(anti, gen, count)
     for part in (_shift_product(gen, anti, count), right):
         for code, value in part.items():
-            sums[code] = sums[code] - value if code in sums else -value
+            sums[code] = np.subtract(sums[code], value, out=sums[code]) if code in sums else -value
     dev = 0.0
     for value in sums.values():
         dev = np.maximum(dev, np.abs(value).max())  # NaN once any value is NaN

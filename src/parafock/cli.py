@@ -125,6 +125,10 @@ class Table:
 
 
 def _cell(value) -> str:
+    if type(value) is float:  # the common cells first, by exact type: a bool or numpy scalar takes the chain
+        return f"{value:.17g}"
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -78,6 +78,11 @@ def test_verify_triple_passes_and_rejects_small_cutoffs():
     (("verify-triple", "--p", "2.5", "--cutoff", "65"), 2),
     (("verify-all", "--p", "2.5", "--cutoff", "64"), 0),
     (("verify-all", "--cutoff", "65"), 2),
+    # inside the envelope, yet it exits 1: its deviation 1.93e-12 is over the absolute 1e-12 gate
+    pytest.param(("verify-triple", "--p", "120", "--cutoff", "64"), 0, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the absolute triple gate, not scaled by the generator entries (ROADMAP item 11)",
+    )),
 ])
 def test_relation_suites_cap_the_cutoff_at_64(args, code):
     proc = run_cli(*args)

@@ -6,8 +6,9 @@ its wrappers, and runs only the suites it names; at least one of them must
 fail.  ``algebra._MOVES`` holds ``_f1`` and ``_f2`` themselves, so it is
 rebuilt with the mutant too.  A mutant of a ``SeriesResult`` function scales
 only ``.value``, and one of a function that returns a tuple, such as
-``(value, terms)``, only its first item.  ``monkeypatch`` undoes every swap
-after the case.
+``(value, terms)``, only its first item; one that returns a dict, such as
+``_shift_product``'s {code: values}, scales each value.  ``monkeypatch``
+undoes every swap after the case.
 
 A blind spot, a mutant that every suite it reaches lets through, is a strict
 xfail whose reason names what would close it; once closed, it fails here
@@ -30,7 +31,7 @@ SUITES = {check.__name__.removeprefix("check_"): check for check in verify.ALL_C
 
 
 def scaled(factor):
-    """A mutation: the function's value times ``factor``."""
+    """A mutation: the function's value times ``factor``; of a returned dict, each value."""
 
     def mutate(original):
         def mutant(*args, **kwargs):
@@ -39,6 +40,8 @@ def scaled(factor):
                 return dataclasses.replace(out, value=out.value * factor)
             if isinstance(out, tuple):
                 return (out[0] * factor, *out[1:])
+            if isinstance(out, dict):
+                return {key: value * factor for key, value in out.items()}
             return out * factor
 
         return mutant
@@ -111,6 +114,8 @@ RESIDUAL_SCALE = (
 CASES = [
     pytest.param("algebra", "_f1", scaled(1.0 + 1e-9), RELATIONS, id="f1"),
     pytest.param("algebra", "_f2", scaled(1.0 + 1e-9), RELATIONS, id="f2"),
+    # the relation kernel, which forms both products X and Y of every triple relation
+    pytest.param("algebra", "_shift_product", scaled(1.0 + 1e-9), ("triple_relations",), id="shift_product"),
     pytest.param("fockspace", "cartan_weights", scaled(1.0 + 1e-9), ("adjointness",), id="cartan_w1"),
     pytest.param("zeromodes", "zero_mode_coeffs", scaled(1.0 + 1e-9), ("zero_modes",), id="zero_mode_coeffs"),
     pytest.param("zeromodes", "zero_mode_coeffs", k_plus_one, ("zero_modes",), id="zero_mode_coeffs_k_plus_1"),
