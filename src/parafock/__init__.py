@@ -17,7 +17,6 @@ from .algebra import (
     SparseOperator,
     TripleReport,
     adjointness_deviation,
-    bracket,
     build_generator,
     pair_anticommutator_deviation,
     structure_f,

@@ -8,10 +8,10 @@ labels of a sorted column set, the whole basis or one h2 sector for the
 oracles: a move whose target is outside the basis (``find`` gives -1) is
 skipped, so the builders never store zeros.  Each whole-basis or sector
 generator is built once per basis and shared, which is safe because
-operator arrays are read-only.  The adjoint and pair checks are their
-identities in ``SparseOperator`` arithmetic; the triple check builds only its
-anticommutators, each generator product once, and adds the other product terms
-on one value array per label shift (``_shifts``), with the bits arithmetic gives.
+operator arrays are read-only.  The triple check builds only its anticommutators
+in ``SparseOperator`` arithmetic; it and the pair check add every other product
+term on one value array per label shift (``_shifts``) in ``_relation_deviation``,
+with the bits operator arithmetic gives.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 from .fockspace import FockBasis, FockVector, _distinct, cartan_weights, even_ind, odd_ind
 
 GENERATOR_NAMES = ("b1+", "b1-", "b2+", "b2-", "h1", "h2")
-
-_BRACKET_KINDS = ("commutator", "anticommutator")
 
 
 def structure_f(m12, m22, p: float):
@@ -72,11 +70,11 @@ class SparseOperator:
     """Sparse matrix on a FockBasis-sized space, stored as (row, col, value) arrays.
 
     The constructor takes entries sorted by (col, row) without repeats;
-    ``from_entries`` takes any triplets.  Sums and products add the terms
-    of each entry in a fixed order (column, right factor entry, left factor
-    entry) and drop exact zeros.  The three arrays are read-only views, so
-    the column offsets a product reads from its left factor are computed
-    once per operator and kept.
+    ``from_entries`` takes any triplets.  Sums and products (the triple
+    check's anticommutators) add the terms of each entry in a fixed order
+    (column, right factor entry, left factor entry) and drop exact zeros.
+    The three arrays are read-only views, so the column offsets a product
+    reads from its left factor are computed once per operator and kept.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals", "_starts")
@@ -184,9 +182,6 @@ class SparseOperator:
             steps.append((support, x))
         return steps
 
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator._accumulate(self.dim, self.cols, self.rows, np.conj(self.vals))
-
     def _column_starts(self) -> np.ndarray:
         """Offset of each column's first entry, nnz at the end: computed once per operator."""
         if self._starts is None:
@@ -219,38 +214,19 @@ class SparseOperator:
         )
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return self._combine(other, other.vals)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        # each position's sum starts from +0.0, so negating in place of scaling by -1.0 changes no value
-        return self._combine(other, -other.vals)
-
-    def _combine(self, other: "SparseOperator", other_vals) -> "SparseOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return SparseOperator._accumulate(
             self.dim,
             np.concatenate((self.rows, other.rows)),
             np.concatenate((self.cols, other.cols)),
-            np.concatenate((self.vals, other_vals)),
+            np.concatenate((self.vals, other.vals)),
         )
 
     def __mul__(self, scalar) -> "SparseOperator":
         return SparseOperator(self.dim, self.rows, self.cols, scalar * self.vals)
 
     __rmul__ = __mul__
-
-    def on_columns(self, columns) -> "SparseOperator":
-        """The entries in the given columns only; the order of the kept entries is unchanged."""
-        chosen = np.zeros(self.dim, dtype=bool)
-        chosen[np.asarray(columns, dtype=np.intp)] = True
-        keep = chosen[self.cols]
-        return SparseOperator(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
-
-    def max_abs(self, columns=None) -> float:
-        """Largest entry magnitude, optionally over a subset of columns."""
-        vals = self.vals if columns is None else self.on_columns(columns).vals
-        return float(np.abs(vals).max()) if vals.size else 0.0
 
 
 # The two moves of each odd generator: the label shift (d12, d22, d11), the
@@ -322,21 +298,6 @@ def _h2_sector(basis: FockBasis, name: str, k: int) -> tuple[np.ndarray, SparseO
     return basis.cache[name, k]
 
 
-def bracket(a: SparseOperator, b: SparseOperator, kind: str, columns=None) -> SparseOperator:
-    """Commutator or anticommutator of two operators, optionally on some columns only.
-
-    With ``columns`` the right factor of each product keeps only those columns, so
-    each entry there sums the same terms in the same order: bit for bit the full bracket.
-    """
-    if kind not in _BRACKET_KINDS:
-        raise ValueError(f"kind must be one of {_BRACKET_KINDS}, got {kind!r}")
-    if columns is None:
-        ab, ba = a @ b, b @ a
-    else:
-        ab, ba = a @ b.on_columns(columns), b @ a.on_columns(columns)
-    return ab + ba if kind == "anticommutator" else ab - ba
-
-
 def _labels(basis: FockBasis) -> np.ndarray:
     """One integer per pattern, linear in (degree, m12, m11) and increasing in basis order."""
     radix = basis.cutoff + 1
@@ -375,28 +336,25 @@ def _shift_product(a, b, count: int) -> dict[int, np.ndarray]:
     for i, code_b in enumerate(codes_b):
         for code_a, term in zip(codes_a, terms[:, i]):
             code = code_a + code_b
-            if code in sums:
-                sums[code] += term
-            else:
-                sums[code] = term
+            sums[code] = np.add(sums[code], term, out=sums[code]) if code in sums else term
     return sums
 
 
-def _commutator_deviation(anti, gen, rhs, count: int) -> float:
-    """Largest |X - Y - R| on columns 0 .. count - 1, from ``_shifts``.
+def _relation_deviation(x, y, sign: int, rhs, count: int) -> float:
+    """Largest |X + sign Y - R| on columns 0 .. count - 1, from ``_shifts``; sign is +1 or -1.
 
-    X = anti @ gen and Y = gen @ anti come from ``_shift_product``, and R sums scale * value
-    over the (shifts, scale) pairs of ``rhs`` in that order.  X's arrays are its own: Y and R
-    are subtracted from them in place.
+    X = x @ y and Y = y @ x come from ``_shift_product``, and R sums scale * value over the
+    (shifts, scale) pairs of ``rhs`` in that order; Y, then R, go into X's own arrays in place.
     """
     right = {}
     for (codes, _, value), scale in rhs:
         for code, term in zip(codes, scale * value[:, :count]):
             right[code] = right[code] + term if code in right else term
-    sums = _shift_product(anti, gen, count)
-    for part in (_shift_product(gen, anti, count), right):
+    sums = _shift_product(x, y, count)
+    along = np.add if sign > 0 else np.subtract
+    for part, combine in ((_shift_product(y, x, count), along), (right, np.subtract)):
         for code, value in part.items():
-            sums[code] = np.subtract(sums[code], value, out=sums[code]) if code in sums else -value
+            sums[code] = combine(sums[code], value, out=sums[code]) if code in sums else combine(0.0, value)
     dev = 0.0
     for value in sums.values():
         dev = np.maximum(dev, np.abs(value).max())  # NaN once any value is NaN
@@ -435,10 +393,10 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     (j, xi) and (k, eta) changes only the order of two-term sums, which commute
     exactly, so each of the 10 unordered pairs is evaluated once for both orders.
 
-    Each anticommutator has the bits of ``bracket`` there: A @ B_r + B @ A_r, B_r being the prefix
-    of B's arrays in those columns, or 2 (A @ A_r) for a square.  Each relation's deviation is the
-    largest |X - Y - R| per position, where X sums the terms of {.,.} b_l, Y those of b_l {.,.} and
-    R the right side, each from 0: the bits of (anti @ b_l - b_l @ anti) - rhs, without building it.
+    Each anticommutator is A @ B_r + B @ A_r, B_r being the prefix of B's arrays in those columns,
+    or 2 (A @ A_r) for a square.  Each relation's deviation, ``_relation_deviation`` with sign -1,
+    is the largest |X - Y - R| per position, X summing the terms of {.,.} b_l, Y those of b_l {.,.}
+    and R the right side: the bits of (anti @ b_l - b_l @ anti) - rhs, without building it.
     """
     labels = _labels(basis)
     ops = {
@@ -448,7 +406,7 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
     }
     gens = {key: _shifts(labels, op) for key, op in ops.items()}
     # the basis is ordered by degree, so each interior is a leading run of columns, and the
-    # entries of a generator there are a prefix of its arrays: the bits of on_columns, as views
+    # entries of a generator there are a prefix of its arrays, cut once as views
     inner, reach = len(basis.interior_indices(3)), len(basis.interior_indices(2))
     cut = {}
     for key, op in ops.items():
@@ -467,7 +425,7 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
             if l == k and eps != eta:
                 rhs.append((gens[(j, xi)], float(eps - eta)))
             deviations[(j, xi), (k, eta), (l, eps)] = deviations[(k, eta), (j, xi), (l, eps)] = (
-                _commutator_deviation(anti, gen, rhs, inner)
+                _relation_deviation(anti, gen, -1, rhs, inner)
             )
         del anti  # so the next anticommutator, which sets the peak memory, runs without it
     results = [
@@ -485,27 +443,36 @@ def verify_triple_relations(basis: FockBasis, tol: float = 1e-12) -> TripleRepor
 
 
 def adjointness_deviation(basis: FockBasis) -> float:
-    """Largest entry of adjoint(b_j^+) - b_j^- over both modes.
+    """Largest entry of adjoint(b_j^+) - b_j^- over both modes, its terms summed in one accumulation.
 
     Exact on the whole truncated basis, including the cutoff shell: the
     clipped raising entries pair with lowering entries from patterns outside
     the basis, so no retained matrix element is affected.
     """
-    devs = [
-        (build_generator(basis, f"b{mode}+").adjoint() - build_generator(basis, f"b{mode}-")).max_abs()
-        for mode in (1, 2)
-    ]
+    devs = []
+    for mode in (1, 2):
+        plus, minus = build_generator(basis, f"b{mode}+"), build_generator(basis, f"b{mode}-")
+        diff = SparseOperator._accumulate(
+            basis.size,
+            np.concatenate((plus.cols, minus.rows)),
+            np.concatenate((plus.rows, minus.cols)),
+            np.concatenate((np.conj(plus.vals), -minus.vals)),
+        ).vals
+        devs.append(float(np.abs(diff).max()) if diff.size else 0.0)
     return float(np.max(devs))  # a NaN deviation propagates
 
 
 def pair_anticommutator_deviation(basis: FockBasis) -> float:
-    """Largest interior entry of {b_j^-, b_j^+} - 2 h_j over both modes."""
-    interior = basis.interior_indices(2)
+    """Largest interior entry of {b_j^-, b_j^+} - 2 h_j over both modes.
+
+    ``_relation_deviation`` with sign +1 on interior(2), degree <= cutoff - 2, a leading run of columns.
+    """
+    count, labels = len(basis.interior_indices(2)), _labels(basis)
     devs = []
     for mode in (1, 2):
-        plus, minus, h = (build_generator(basis, name) for name in (f"b{mode}+", f"b{mode}-", f"h{mode}"))
-        anti = bracket(minus, plus, "anticommutator", columns=interior)
-        devs.append((anti - 2.0 * h).max_abs(columns=interior))
+        names = (f"b{mode}-", f"b{mode}+", f"h{mode}")
+        minus, plus, h = (_shifts(labels, build_generator(basis, name)) for name in names)
+        devs.append(_relation_deviation(minus, plus, 1, [(h, 2.0)], count))
     return float(np.max(devs))  # a NaN deviation propagates
 
 

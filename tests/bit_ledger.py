@@ -6,6 +6,8 @@ A family is a function that yields text lines, each value written with ``float.h
   suite's deviation and tolerance, at cutoffs 3, 8 and 24.
 - ``triple_deviations``: the 64 ``verify_triple_relations`` deviations at cutoffs 3, 8 and 24
   for p 1.3, 2.5 and 120.
+- ``relation_checks``: ``adjointness_deviation`` and ``pair_anticommutator_deviation`` at
+  cutoffs 3, 8, 24, 40 and 64 for p 1.3, 2.5 and 120.
 
 The families run in a child with ``OPENBLAS_NUM_THREADS=1``: ``bicoherent/b2sq_assembly``
 goes through a BLAS dot whose summation order depends on the thread count, and its last bits
@@ -31,6 +33,7 @@ from pathlib import Path
 TREE = Path(__file__).resolve().parents[1]
 CUTOFFS = (3, 8, 24)
 TRIPLE_P = (1.3, 2.5, 120.0)
+RELATION_CUTOFFS = CUTOFFS + (40, 64)
 
 
 def verify_all_parts():
@@ -53,7 +56,18 @@ def triple_deviations():
                 yield f"{p} {cutoff} {r.xi} {r.eta} {r.eps} {r.j} {r.k} {r.l} {r.deviation.hex()}"
 
 
-FAMILIES = {family.__name__: family for family in (verify_all_parts, triple_deviations)}
+def relation_checks():
+    from parafock.algebra import adjointness_deviation, pair_anticommutator_deviation
+    from parafock.fockspace import enumerate_basis
+
+    for p in TRIPLE_P:
+        for cutoff in RELATION_CUTOFFS:
+            basis = enumerate_basis(p, cutoff)
+            adjoint, pair = adjointness_deviation(basis), pair_anticommutator_deviation(basis)
+            yield f"{p} {cutoff} {adjoint.hex()} {pair.hex()}"
+
+
+FAMILIES = {family.__name__: family for family in (verify_all_parts, triple_deviations, relation_checks)}
 
 
 def _versions() -> dict:

@@ -4,20 +4,25 @@
 ``SparseOperator`` and sums, multiplies and restricts them as the engine did
 before products kept their left factor's column offsets: the offsets are
 recounted by every product and each left index comes from ``_ranges``.
+``reference_bracket`` is the commutator or anticommutator the engine formed
+before its relation checks summed on label-shift slots, optionally with the
+right factor of each product restricted to some columns.
 ``reference_triple_deviations`` is the former body of
 ``verify_triple_relations``: it restricts a generator to the interior once per
 (pair, l), adds each right side to a zero operator and subtracts it from
 every commutator.  ``arithmetic_triple_deviations``,
 ``arithmetic_adjointness_deviation`` and ``arithmetic_pair_anticommutator_deviation``
-are the former bodies of the three relation checks, written in ``SparseOperator``
-arithmetic before the checks summed their terms on label-shift slots.
+are the former bodies of the three relation checks, written in the operator
+arithmetic (adjoint, difference, restriction, largest entry) that the engine
+held before the checks summed their terms on label-shift slots; here it runs on
+``ReferenceOperator``.
 """
 
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from parafock import bracket, build_generator
+from parafock import build_generator
 from parafock.fockspace import _ranges
 
 
@@ -122,6 +127,7 @@ class ReferenceOperator:
 
 
 def reference_bracket(a, b, kind, columns=None):
+    """[a, b] or {a, b}; with ``columns`` each product's right factor keeps only those columns."""
     if columns is None:
         ab, ba = a @ b, b @ a
     else:
@@ -156,7 +162,7 @@ def reference_triple_deviations(basis) -> dict:
 
 def _generators(basis):
     return {
-        (mode, sign): build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}")
+        (mode, sign): ReferenceOperator.of(build_generator(basis, f"b{mode}{'+' if sign > 0 else '-'}"))
         for mode in (1, 2)
         for sign in (-1, 1)
     }
@@ -169,7 +175,7 @@ def arithmetic_triple_deviations(basis) -> dict:
     inner = {key: gen.on_columns(interior) for key, gen in gens.items()}
     deviations = {}
     for (j, xi), (k, eta) in combinations_with_replacement(gens.keys(), 2):
-        anti = bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator", columns=reach)
+        anti = reference_bracket(gens[(j, xi)], gens[(k, eta)], "anticommutator", columns=reach)
         anti_inner = anti.on_columns(interior)
         for (l, eps), gen in gens.items():
             lhs = anti @ inner[(l, eps)] - gen @ anti_inner
@@ -187,8 +193,8 @@ def arithmetic_triple_deviations(basis) -> dict:
 def arithmetic_adjointness_deviation(basis) -> float:
     devs = []
     for mode in (1, 2):
-        plus = build_generator(basis, f"b{mode}+")
-        minus = build_generator(basis, f"b{mode}-")
+        plus = ReferenceOperator.of(build_generator(basis, f"b{mode}+"))
+        minus = ReferenceOperator.of(build_generator(basis, f"b{mode}-"))
         devs.append((plus.adjoint() - minus).max_abs())
     return float(np.max(devs))
 
@@ -197,9 +203,9 @@ def arithmetic_pair_anticommutator_deviation(basis) -> float:
     interior = basis.interior_indices(2)
     devs = []
     for mode in (1, 2):
-        plus = build_generator(basis, f"b{mode}+")
-        minus = build_generator(basis, f"b{mode}-")
-        h = build_generator(basis, f"h{mode}")
-        anti = bracket(minus, plus, "anticommutator", columns=interior)
+        plus = ReferenceOperator.of(build_generator(basis, f"b{mode}+"))
+        minus = ReferenceOperator.of(build_generator(basis, f"b{mode}-"))
+        h = ReferenceOperator.of(build_generator(basis, f"h{mode}"))
+        anti = reference_bracket(minus, plus, "anticommutator", columns=interior)
         devs.append((anti - 2.0 * h).max_abs(columns=interior))
     return float(np.max(devs))

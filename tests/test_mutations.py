@@ -114,8 +114,10 @@ RESIDUAL_SCALE = (
 CASES = [
     pytest.param("algebra", "_f1", scaled(1.0 + 1e-9), RELATIONS, id="f1"),
     pytest.param("algebra", "_f2", scaled(1.0 + 1e-9), RELATIONS, id="f2"),
-    # the relation kernel, which forms both products X and Y of every triple relation
+    # the relation kernel, which forms both products X and Y of every triple relation and of the
+    # pair anticommutator
     pytest.param("algebra", "_shift_product", scaled(1.0 + 1e-9), ("triple_relations",), id="shift_product"),
+    pytest.param("algebra", "_shift_product", scaled(1.0 + 1e-9), ("adjointness",), id="shift_product_pair"),
     pytest.param("fockspace", "cartan_weights", scaled(1.0 + 1e-9), ("adjointness",), id="cartan_w1"),
     pytest.param("zeromodes", "zero_mode_coeffs", scaled(1.0 + 1e-9), ("zero_modes",), id="zero_mode_coeffs"),
     pytest.param("zeromodes", "zero_mode_coeffs", k_plus_one, ("zero_modes",), id="zero_mode_coeffs_k_plus_1"),

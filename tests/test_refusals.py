@@ -9,7 +9,6 @@ from parafock import (
     bessel_i,
     besseli_values,
     besselk_values,
-    bracket,
     build_generator,
     enumerate_basis,
     kernel_oracle,
@@ -37,7 +36,6 @@ def _vacuum_below_the_floor():
     (lambda: _generator(3) @ _generator(2), "dimension mismatch"),
     (lambda: _generator(3) + _generator(2), "dimension mismatch"),
     (lambda: _generator(2, "b3+"), "unknown generator"),
-    (lambda: bracket(_generator(2), _generator(2, "b1-"), "jordan"), "kind must be one of"),
     (_vacuum_below_the_floor, "below the ladder floor"),
     (lambda: b2_element_oracle(enumerate_basis(P, 8), 2, 0.3, 1, 2, 0.5, 4), "does not exist"),
     (lambda: FockVector(enumerate_basis(P, 2), np.ones(11)), "does not match basis size"),
@@ -49,7 +47,7 @@ def _vacuum_below_the_floor():
     (lambda: ladder_normalization(P, 0, -1), "n >= 0"),
     (lambda: weight_of(1, 0, 1, -5.0), "1 < p <= 120"),  # returned (-1.5, -2.5)
     (lambda: weight_of(1, 0, 1, float("nan")), "1 < p <= 120"),
-], ids=["apply-shape", "matmul-dim", "add-dim", "generator-name", "bracket-kind",
+], ids=["apply-shape", "matmul-dim", "add-dim", "generator-name",
         "t1-inverse-floor", "b2-oracle-target", "vector-shape", "bessel_i-at-0",
         "besselk_values-2d", "besseli_values-point", "kernel_oracle-cutoff",
         "ladder_step-n", "ladder_normalization-n", "weight_of-p", "weight_of-nan"])
